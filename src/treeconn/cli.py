@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = decided/exact, 2 = budget exhausted (or unknowns present),
-1 = usage, validation, or verification failure.  The KAPPA_BUDGET
-environment variable supplies a default node-expansion budget.
+1 = usage, validation, or verification failure, or an input too large to
+solve (recursion depth or memory).  The KAPPA_BUDGET environment variable
+supplies a default node-expansion budget.
 """
 
 from __future__ import annotations
@@ -133,18 +134,11 @@ def cmd_kappa(args) -> int:
 def cmd_kappa_k(args) -> int:
     graph = _load_graph(args.graph)
     result = kappa_k_graph(graph, args.k, args.budget)
-    subset = list(result.subset.members) if result.subset is not None else None
-    obj = {
-        "value": result.value,
-        "status": result.status,
-        "subset": subset,
-        "expansions": result.expansions,
-    }
     value = "unknown" if result.value is None else result.value
     lines = [f"kappa_{args.k} = {value} ({result.status})"]
-    if subset is not None:
-        lines.append("subset = " + ",".join(str(v) for v in subset))
-    _emit(args, obj, lines)
+    if result.subset is not None:
+        lines.append("subset = " + ",".join(str(v) for v in result.subset.members))
+    _emit(args, result.to_obj(), lines)
     return EXIT_OK if result.status == "exact" else EXIT_BUDGET
 
 
@@ -252,32 +246,16 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _roundtrip_case_3dm(seed: int, n: int, m: int, budget: int | None) -> tuple[str, str]:
-    rng = random.Random(seed)
-    inst = random_3dm(rng, n, m)
-    matching = solve_3dm_brute(inst)
-    reduced = reduce_3dm(inst)
-    decision = decide_kappa_at_least(
-        reduced.graph, reduced.terminals, reduced.threshold, budget
-    )
-    oracle = "yes" if matching is not None else "no"
-    solver = {"certificate": "yes", "refuted": "no", "unknown": "unknown"}[
-        decision.outcome
-    ]
-    return oracle, solver
-
-
-def _roundtrip_case_3sat(
-    seed: int, num_vars: int, num_clauses: int, budget: int | None
+def _roundtrip_case(
+    seed: int, generate, brute, reduce, budget: int | None
 ) -> tuple[str, str]:
-    rng = random.Random(seed)
-    phi = random_cnf(rng, num_vars, num_clauses)
-    assignment = solve_sat_brute(phi)
-    reduced = reduce_3sat(phi)
+    instance = generate(random.Random(seed))
+    witness = brute(instance)
+    reduced = reduce(instance)
     decision = decide_kappa_at_least(
         reduced.graph, reduced.terminals, reduced.threshold, budget
     )
-    oracle = "yes" if assignment is not None else "no"
+    oracle = "yes" if witness is not None else "no"
     solver = {"certificate": "yes", "refuted": "no", "unknown": "unknown"}[
         decision.outcome
     ]
@@ -285,17 +263,20 @@ def _roundtrip_case_3sat(
 
 
 def cmd_roundtrip(args) -> int:
+    if args.problem == "3dm":
+        problem = (lambda rng: random_3dm(rng, args.n, args.m), solve_3dm_brute, reduce_3dm)
+    else:
+        if args.vars < 2:
+            raise GraphFormatError("roundtrip 3sat needs --vars >= 2")
+        problem = (
+            lambda rng: random_cnf(rng, args.vars, args.clauses),
+            solve_sat_brute,
+            reduce_3sat,
+        )
     cases = []
     for i in range(args.count):
         seed = args.seed * 1_000_003 + i
-        if args.problem == "3dm":
-            oracle, solver = _roundtrip_case_3dm(seed, args.n, args.m, args.budget)
-        else:
-            if args.vars < 2:
-                raise GraphFormatError("roundtrip 3sat needs --vars >= 2")
-            oracle, solver = _roundtrip_case_3sat(
-                seed, args.vars, args.clauses, args.budget
-            )
+        oracle, solver = _roundtrip_case(seed, *problem, args.budget)
         cases.append({"seed": seed, "oracle": oracle, "solver": solver})
     agree = sum(1 for c in cases if c["oracle"] == c["solver"])
     unknown = sum(1 for c in cases if c["solver"] == "unknown")
@@ -453,11 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # RecursionError: the Steiner enumerator recurses once per tree edge, so
+    # very long trees outgrow the interpreter stack
     try:
         if hasattr(args, "budget") and args.budget is None:
             args.budget = _default_budget()
         return args.func(args)
-    except (GraphFormatError, ValueError, OSError) as exc:
+    except (GraphFormatError, ValueError, OSError, RecursionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

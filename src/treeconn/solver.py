@@ -4,7 +4,7 @@ kappa(S) is the maximum size of a family of trees in G that each contain
 the terminal set S, are pairwise edge-disjoint, and pairwise intersect in
 exactly S (no shared non-terminal vertices).  For |S| = 2 this is the
 classical count of internally disjoint paths, which `menger_pair` computes
-independently by maximum flow and the tests cross-check.
+by maximum flow outside the search and the tests cross-check.
 
 The search packs inclusion-minimal Steiner trees one slot at a time.
 Within a packing each tree owns at least one edge at every terminal, so
@@ -14,7 +14,9 @@ minimum, which breaks permutation symmetry at no cost.  Admissible bounds
 prune the search: per-terminal remaining degree, a global edge budget,
 connectivity of S in what would remain, and a vertex-capacitated flow
 bound (non-terminals capacity one, terminals uncapacitated) that is exact
-for two terminals.
+for two terminals.  The flow is found by unit-capacity augmenting paths on
+the vertex-split graph, held as edge bitmasks, so no network is built per
+call.
 
 `brute_force_kappa` is an independent oracle: it enumerates candidate
 trees by Steiner-vertex subsets and packs them by plain exhaustive search,
@@ -24,7 +26,6 @@ sharing no bound or enumeration code with the main solver.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .certificates import TreeCertificate, certificate_to_obj
@@ -38,8 +39,6 @@ from .steiner import (
     spans,
     tree_from_masks,
 )
-
-_FLOW_INF = 1 << 30
 
 
 class BudgetExhausted(RuntimeError):
@@ -97,6 +96,14 @@ class KappaKResult:
     status: str  # "exact" | "upper-bound"
     expansions: int
 
+    def to_obj(self) -> dict:
+        return {
+            "value": self.value,
+            "status": self.status,
+            "subset": list(self.subset.members) if self.subset is not None else None,
+            "expansions": self.expansions,
+        }
+
 
 def _flow_at_least(
     bits: GraphBits,
@@ -113,49 +120,90 @@ def _flow_at_least(
     terminals unconstrained.  Augments until `target` is reached (or to
     exhaustion when target is None) and returns the flow value.  Each tree
     of a packing contributes one unit, so this upper-bounds the packing.
+
+    The split network is never materialized.  Node 2v is v_in and 2v+1 is
+    v_out; every edge of avail_e gives unit arcs u_out -> v_in and
+    v_out -> u_in, and every vertex of avail_v an arc v_in -> v_out.  Routes
+    run from src_out to dst_in.  The flow is held as edge masks: out_e[v]
+    has the arcs leaving v_out that carry flow, in_e[v] those entering v_in.
+    Below the sink dst_in, the through-flow of v is the size of in_e[v], so
+    a non-terminal is saturated exactly when in_e[v] is non-zero.
     """
-    # node 2v = v_in, 2v+1 = v_out
-    graph: dict[int, list[list[int]]] = {}
-
-    def add(u: int, v: int, cap: int) -> None:
-        graph.setdefault(u, []).append([v, cap, len(graph.setdefault(v, []))])
-        graph[v].append([u, 0, len(graph[u]) - 1])
-
-    work = avail_v
-    while work:
-        low = work & -work
-        work ^= low
-        v = low.bit_length() - 1
-        add(2 * v, 2 * v + 1, _FLOW_INF if low & smask else 1)
-    work = avail_e
-    while work:
-        low = work & -work
-        work ^= low
-        e = low.bit_length() - 1
-        u, v = bits.eu[e], bits.ev[e]
-        add(2 * u + 1, 2 * v, 1)
-        add(2 * v + 1, 2 * u, 1)
-
+    einc = bits.einc
+    evmask = bits.evmask
+    out_e = [0] * bits.order
+    in_e = [0] * bits.order
+    # arc into each node of the breadth-first tree: the edge bit, or 0 for
+    # the v_in/v_out arc of the node's own vertex
+    via = [0] * (2 * bits.order)
     source, sink = 2 * src + 1, 2 * dst
     flow = 0
     while target is None or flow < target:
-        parent: dict[int, tuple[int, int]] = {source: (-1, -1)}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for idx, arc in enumerate(graph.get(u, ())):
-                if arc[1] > 0 and arc[0] not in parent:
-                    parent[arc[0]] = (u, idx)
-                    queue.append(arc[0])
-        if sink not in parent:
+        seen_in = 0
+        seen_out = 1 << src
+        queue = [source]
+        for node in queue:
+            v = node >> 1
+            vbit = 1 << v
+            if node & 1:
+                # v_out: unsaturated edge arcs, then back over v's through-flow
+                ee = einc[v] & avail_e & ~out_e[v]
+                while ee:
+                    low = ee & -ee
+                    ee ^= low
+                    wbit = evmask[low.bit_length() - 1] ^ vbit
+                    if not wbit & seen_in:
+                        seen_in |= wbit
+                        w = wbit.bit_length() - 1
+                        via[2 * w] = low
+                        queue.append(2 * w)
+                if seen_in >> dst & 1:
+                    break
+                if in_e[v] and not vbit & seen_in:
+                    seen_in |= vbit
+                    via[node - 1] = 0
+                    queue.append(node - 1)
+            else:
+                # v_in: through v if it has capacity left, then back along
+                # the edge arcs that carry flow into v
+                if (
+                    vbit & avail_v
+                    and not vbit & seen_out
+                    and (vbit & smask or not in_e[v])
+                ):
+                    seen_out |= vbit
+                    via[node + 1] = 0
+                    queue.append(node + 1)
+                ee = in_e[v]
+                while ee:
+                    low = ee & -ee
+                    ee ^= low
+                    wbit = evmask[low.bit_length() - 1] ^ vbit
+                    if not wbit & seen_out:
+                        seen_out |= wbit
+                        w = wbit.bit_length() - 1
+                        via[2 * w + 1] = low
+                        queue.append(2 * w + 1)
+        else:
             break
         node = sink
         while node != source:
-            prev, idx = parent[node]
-            arc = graph[prev][idx]
-            arc[1] -= 1
-            graph[node][arc[2]][1] += 1
-            node = prev
+            low = via[node]
+            if not low:
+                node ^= 1
+                continue
+            v = node >> 1
+            w = (evmask[low.bit_length() - 1] ^ (1 << v)).bit_length() - 1
+            if node & 1:
+                # cancelled flow on the arc v_out -> w_in
+                out_e[v] ^= low
+                in_e[w] ^= low
+                node = 2 * w
+            else:
+                # new flow on the arc w_out -> v_in
+                out_e[w] ^= low
+                in_e[v] ^= low
+                node = 2 * w + 1
         flow += 1
     return flow
 

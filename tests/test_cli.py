@@ -205,3 +205,20 @@ def test_kappa_k_command(k4_file, capsys):
     out = capsys.readouterr().out
     assert "kappa_4 = 2 (exact)" in out
     assert "subset = 0,1,2,3" in out
+
+
+def test_kappa_k_json(k4_file, capsys):
+    assert main(["kappa-k", "--graph", k4_file, "--k", "4", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out == '{"expansions": 9, "status": "exact", "subset": [0, 1, 2, 3], "value": 2}\n'
+    assert main(["kappa-k", "--graph", k4_file, "--k", "4", "--json", "--budget", "1"]) == 2
+    out = capsys.readouterr().out
+    assert out == '{"expansions": 2, "status": "upper-bound", "subset": null, "value": null}\n'
+
+
+def test_deep_recursion_is_an_error_not_a_traceback(tmp_path, capsys):
+    path = tmp_path / "p1200.json"
+    path.write_text(serialize_graph(path_graph(1200)))
+    assert main(["classify", "--graph", str(path), "--terminals", "0,1199"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
