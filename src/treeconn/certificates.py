@@ -12,7 +12,14 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, GraphFormatError, TerminalSet, _canonical_edges
+from .graph import (
+    Graph,
+    GraphFormatError,
+    TerminalSet,
+    _canonical_edges,
+    _check_vertex_id,
+    load_json,
+)
 
 
 @dataclass(frozen=True)
@@ -134,18 +141,23 @@ def certificate_to_obj(cert: TreeCertificate) -> dict:
 
 
 def certificate_from_obj(obj: object) -> TreeCertificate:
-    if not isinstance(obj, dict) or "trees" not in obj:
-        raise GraphFormatError("certificate must be an object with a 'trees' field")
+    if not isinstance(obj, dict) or not isinstance(obj.get("trees"), list):
+        raise GraphFormatError("certificate must be an object with a 'trees' list")
     trees = []
     for pos, raw in enumerate(obj["trees"]):
+        where = f"tree {pos}"
         if not isinstance(raw, dict):
-            raise GraphFormatError(f"tree {pos}: expected an object")
+            raise GraphFormatError(f"{where}: expected an object")
+        vertices = raw.get("vertices", [])
+        edges = raw.get("edges", [])
+        if not isinstance(vertices, list) or not isinstance(edges, list):
+            raise GraphFormatError(f"{where}: 'vertices' and 'edges' must be lists")
+        for v in vertices:
+            _check_vertex_id(v, where)
         try:
-            trees.append(
-                Tree(tuple(raw.get("vertices", ())), tuple(tuple(e) for e in raw.get("edges", ())))
-            )
+            trees.append(Tree(tuple(vertices), tuple(edges)))
         except ValueError as exc:
-            raise GraphFormatError(f"tree {pos}: {exc}") from exc
+            raise GraphFormatError(f"{where}: {exc}") from exc
     return TreeCertificate(tuple(trees))
 
 
@@ -154,8 +166,4 @@ def serialize_certificate(cert: TreeCertificate) -> str:
 
 
 def parse_certificate(text: str) -> TreeCertificate:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    return certificate_from_obj(obj)
+    return certificate_from_obj(load_json(text))

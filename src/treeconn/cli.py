@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
     _add_budget(p)
-    _add_common(p, "unused")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_kappa_k)
 
     p = sub.add_parser("decide", help="decide kappa(S) >= k")

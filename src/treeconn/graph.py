@@ -187,16 +187,22 @@ def graph_from_obj(obj: object) -> Graph:
         if not isinstance(labels, list):
             raise GraphFormatError("'labels' must be a list")
         labels = tuple(labels)
-    return Graph(obj["order"], tuple(tuple(e) for e in edges), labels)
+    return Graph(obj["order"], edges, labels)
+
+
+def load_json(text: str) -> object:
+    """json.loads, with every way the text can fail raised as GraphFormatError."""
+    # ValueError covers integers past the interpreter's digit limit and
+    # RecursionError arrays or objects nested too deep for the decoder
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise GraphFormatError(f"invalid JSON: {exc}") from exc
 
 
 def parse_graph(text: str) -> Graph:
     """Parse the JSON instance format {"order":n, "labels":[..]?, "edges":[[u,v],..]}."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    return graph_from_obj(obj)
+    return graph_from_obj(load_json(text))
 
 
 def serialize_graph(graph: Graph) -> str:

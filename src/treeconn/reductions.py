@@ -15,7 +15,19 @@ import json
 from dataclasses import dataclass
 
 from .certificates import Tree, TreeCertificate, verify_certificate
-from .graph import Graph, GraphFormatError, TerminalSet, graph_from_obj, graph_to_obj
+from .graph import (
+    Graph,
+    GraphFormatError,
+    TerminalSet,
+    _check_vertex_id,
+    graph_from_obj,
+    graph_to_obj,
+    load_json,
+)
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -36,15 +48,15 @@ class ThreeDMInstance:
     triples: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("ground set size must be >= 1")
+        if not _is_int(self.n) or self.n < 1:
+            raise ValueError(f"ground set size must be an integer >= 1, got {self.n!r}")
         triples = tuple(tuple(t) for t in self.triples)
         for pos, t in enumerate(triples):
             if len(t) != 3:
                 raise ValueError(f"triple {pos}: expected 3 coordinates, got {t!r}")
             for x in t:
-                if not 0 <= x < self.n:
-                    raise ValueError(f"triple {pos}: index {x} out of range [0,{self.n})")
+                if not _is_int(x) or not 0 <= x < self.n:
+                    raise ValueError(f"triple {pos}: index {x!r} out of range [0,{self.n})")
         if len(set(triples)) != len(triples):
             raise ValueError("triples must be pairwise distinct")
         if len(triples) < self.n:
@@ -172,18 +184,24 @@ def reduced_from_obj(obj: object) -> ReducedInstance:
     if missing:
         raise GraphFormatError(f"reduced instance missing fields: {sorted(missing)}")
     graph = graph_from_obj(obj["graph"])
-    roles = {int(k): str(v) for k, v in obj["roles"].items()}
-    return ReducedInstance(
-        graph, TerminalSet(tuple(obj["terminals"])), obj["threshold"], roles
-    )
+    terminals, threshold, roles = obj["terminals"], obj["threshold"], obj["roles"]
+    if not isinstance(terminals, list):
+        raise GraphFormatError("'terminals' must be a list")
+    for v in terminals:
+        _check_vertex_id(v, "terminals")
+    if not _is_int(threshold):
+        raise GraphFormatError(f"'threshold' must be an integer, got {threshold!r}")
+    if not isinstance(roles, dict) or not all(isinstance(r, str) for r in roles.values()):
+        raise GraphFormatError("'roles' must map vertex ids to strings")
+    try:
+        roles = {int(k): r for k, r in roles.items()}
+        return ReducedInstance(graph, TerminalSet(tuple(terminals)), threshold, roles)
+    except ValueError as exc:
+        raise GraphFormatError(f"invalid reduced instance: {exc}") from exc
 
 
 def parse_reduced(text: str) -> ReducedInstance:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    return reduced_from_obj(obj)
+    return reduced_from_obj(load_json(text))
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +384,7 @@ def serialize_3dm(inst: ThreeDMInstance) -> str:
 
 
 def parse_3dm(text: str) -> ThreeDMInstance:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
+    obj = load_json(text)
     if not isinstance(obj, dict) or "n" not in obj or "triples" not in obj:
         raise GraphFormatError("3-DM instance needs fields 'n' and 'triples'")
     try:

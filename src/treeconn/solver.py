@@ -6,7 +6,14 @@ exactly S (no shared non-terminal vertices).  For |S| = 2 this is the
 classical count of internally disjoint paths, which `menger_pair` computes
 by maximum flow outside the search and the tests cross-check.
 
-The search packs inclusion-minimal Steiner trees one slot at a time.
+The three entry points ask one question: does G hold l internally
+disjoint trees connecting S?  They share one level-by-level search that
+tries l = lo, lo + 1, ... until a level is refuted, a cap is packed or the
+node budget runs out.  `decide_kappa_at_least` searches the single level
+k, `kappa_set_exact` climbs from 1 without a cap, and `kappa_k_graph`
+climbs each k-subset from 1 up to the best value found so far.
+
+Each level packs inclusion-minimal Steiner trees one slot at a time.
 Within a packing each tree owns at least one edge at every terminal, so
 the trees are totally ordered by their lowest edge at a fixed anchor
 terminal; each slot masks anchor edges at or below the previous tree's
@@ -36,7 +43,7 @@ from .steiner import (
     iter_bits,
     iter_minimal_trees,
     mask_of,
-    spans,
+    reaches,
     tree_from_masks,
 )
 
@@ -208,6 +215,27 @@ def _flow_at_least(
     return flow
 
 
+def _fits(
+    bits: GraphBits,
+    smask: int,
+    terminals: tuple[int, ...],
+    avail_v: int,
+    avail_e: int,
+    need: int,
+) -> bool:
+    """Cheap admissible bounds: `need` free edges at every terminal, at least
+    |S| - 1 edges per tree, and S connected in what is available."""
+    einc = bits.einc
+    for s in terminals:
+        if (einc[s] & avail_e).bit_count() < need:
+            return False
+    if avail_e.bit_count() < need * (len(terminals) - 1):
+        return False
+    return not smask & ~avail_v and reaches(
+        bits, smask & -smask, smask, avail_v, avail_e
+    )
+
+
 def _packable(
     bits: GraphBits,
     smask: int,
@@ -217,23 +245,12 @@ def _packable(
     need: int,
 ) -> bool:
     """Admissible feasibility test: could `need` more trees fit in here?"""
-    min_deg = None
-    anchor = terminals[0]
-    for s in terminals:
-        deg = (bits.einc[s] & avail_e).bit_count()
-        if deg < need:
-            return False
-        if min_deg is None or deg < min_deg:
-            min_deg, anchor = deg, s
-    if avail_e.bit_count() < need * (len(terminals) - 1):
-        return False
-    if not spans(bits, smask, avail_v, avail_e):
+    if not _fits(bits, smask, terminals, avail_v, avail_e, need):
         return False
     if need >= 2:
+        src = min(terminals, key=lambda s: (bits.einc[s] & avail_e).bit_count())
         for t in terminals:
-            if t == anchor:
-                continue
-            if _flow_at_least(bits, smask, avail_v, avail_e, anchor, t, need) < need:
+            if t != src and _flow_at_least(bits, smask, avail_v, avail_e, src, t, need) < need:
                 return False
     return True
 
@@ -260,18 +277,16 @@ def _search_packing(
     budget: _Budget,
 ) -> list[tuple[int, int]] | None:
     budget.tick()
-    if need == 1:
-        # the last slot is free of both the anchor-edge ordering and the
-        # blocked vertex: it hosts whatever tree the reorderings deferred
-        if not _packable(bits, smask, terminals, avail_v, avail_e, 1):
-            return None
-        tree = extract_steiner_tree(bits, smask, avail_v, avail_e, anchor)
-        return None if tree is None else [tree]
     # feasibility accounting always runs on the true availability: the
     # ordering mask and the blocked vertex constrain this slot's tree, not
     # the trees of later slots
     if not _packable(bits, smask, terminals, avail_v, avail_e, need):
         return None
+    if need == 1:
+        # the last slot is free of both the anchor-edge ordering and the
+        # blocked vertex: it hosts whatever tree the reorderings deferred
+        tree = extract_steiner_tree(bits, smask, avail_v, avail_e, anchor)
+        return None if tree is None else [tree]
     mask_e = avail_e
     if min_anchor_edge >= 0:
         # anchor edges at or below the previous tree's minimum belong to
@@ -279,18 +294,12 @@ def _search_packing(
         mask_e &= ~(bits.einc[anchor] & ((1 << (min_anchor_edge + 1)) - 1))
 
     remaining = need - 1
-    steiner_floor = len(terminals) - 1
     einc = bits.einc
 
     def prune(tree_e: int, tree_v: int) -> bool:
         internals = tree_v & ~smask
         rem_e = avail_e & ~tree_e & ~_incident_edges(bits, internals)
-        for s in terminals:
-            if (einc[s] & rem_e).bit_count() < remaining:
-                return True
-        if rem_e.bit_count() < remaining * steiner_floor:
-            return True
-        return not spans(bits, smask, avail_v & ~internals, rem_e)
+        return not _fits(bits, smask, terminals, avail_v & ~internals, rem_e, remaining)
 
     # At most one tree of any packing contains the blocked vertex, and the
     # order-free last slot can always host that tree, so every slot before
@@ -317,16 +326,6 @@ def _search_packing(
     return None
 
 
-def _prepare(graph: Graph, terminals) -> tuple[GraphBits, TerminalSet, int, int, int]:
-    terminals = TerminalSet.of(terminals)
-    terminals.validate_in(graph)
-    bits = GraphBits(graph)
-    smask = mask_of(terminals.members)
-    anchor = min(terminals.members, key=lambda s: ((bits.einc[s]).bit_count(), s))
-    block_v = _pick_block_vertex(bits, smask)
-    return bits, terminals, smask, anchor, block_v
-
-
 def _pick_block_vertex(bits: GraphBits, smask: int) -> int:
     """Non-terminal of maximum degree, or -1 when every vertex is a terminal."""
     best = -1
@@ -340,6 +339,38 @@ def _pick_block_vertex(bits: GraphBits, smask: int) -> int:
     return best
 
 
+def _climb(
+    bits: GraphBits,
+    terminals: tuple[int, ...],
+    lo: int,
+    hi: int | None,
+    counter: _Budget,
+) -> tuple[int, list[tuple[int, int]] | None, str]:
+    """Search levels k = lo, lo + 1, ... for a packing of k trees.
+
+    Stops when a level is refuted ("refuted"), when level `hi` is packed
+    ("capped"; never when hi is None) or when the budget runs out
+    ("budget").  Returns the highest level packed, lo - 1 if none, with its
+    packing (None if none) and the reason for stopping.
+    """
+    smask = mask_of(terminals)
+    anchor = min(terminals, key=lambda s: (bits.einc[s].bit_count(), s))
+    block_v = _pick_block_vertex(bits, smask)
+    value, packing = lo - 1, None
+    try:
+        for k in itertools.count(lo) if hi is None else range(lo, hi + 1):
+            found = _search_packing(
+                bits, smask, terminals, anchor, block_v,
+                bits.all_v, bits.all_e, k, -1, counter,
+            )
+            if found is None:
+                return value, packing, "refuted"
+            value, packing = k, found
+    except BudgetExhausted:
+        return value, packing, "budget"
+    return value, packing, "capped"
+
+
 def _to_certificate(bits: GraphBits, packing: list[tuple[int, int]]) -> TreeCertificate:
     return TreeCertificate(tuple(tree_from_masks(bits, te, tv) for te, tv in packing))
 
@@ -350,18 +381,15 @@ def decide_kappa_at_least(
     """Find k internally disjoint trees connecting S, or prove none exist."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    bits, terminals, smask, anchor, block_v = _prepare(graph, terminals)
+    terminals = TerminalSet.of(terminals)
+    terminals.validate_in(graph)
+    bits = GraphBits(graph)
     counter = _Budget(budget)
-    try:
-        packing = _search_packing(
-            bits, smask, terminals.members, anchor, block_v,
-            bits.all_v, bits.all_e, k, -1, counter,
-        )
-    except BudgetExhausted:
-        return DecideResult("unknown", None, counter.used)
-    if packing is None:
-        return DecideResult("refuted", None, counter.used)
-    return DecideResult("certificate", _to_certificate(bits, packing), counter.used)
+    _, packing, stop = _climb(bits, terminals.members, k, k, counter)
+    if stop == "capped":
+        return DecideResult("certificate", _to_certificate(bits, packing), counter.used)
+    outcome = "unknown" if stop == "budget" else "refuted"
+    return DecideResult(outcome, None, counter.used)
 
 
 def kappa_set_exact(graph: Graph, terminals, budget: int | None = None) -> SolveResult:
@@ -370,50 +398,13 @@ def kappa_set_exact(graph: Graph, terminals, budget: int | None = None) -> Solve
     Status "exact" means no larger packing exists; on budget exhaustion the
     best certificate found so far is returned with status "lower-bound".
     """
-    bits, terminals, smask, anchor, block_v = _prepare(graph, terminals)
+    terminals = TerminalSet.of(terminals)
+    terminals.validate_in(graph)
+    bits = GraphBits(graph)
     counter = _Budget(budget)
-    value = 0
-    cert = TreeCertificate(())
-    status = "exact"
-    k = 1
-    while True:
-        try:
-            packing = _search_packing(
-                bits, smask, terminals.members, anchor, block_v,
-                bits.all_v, bits.all_e, k, -1, counter,
-            )
-        except BudgetExhausted:
-            status = "lower-bound"
-            break
-        if packing is None:
-            break
-        value = k
-        cert = _to_certificate(bits, packing)
-        k += 1
-    return SolveResult(value, status, cert, counter.used)
-
-
-def _kappa_below(
-    bits: GraphBits,
-    smask: int,
-    terminals: tuple[int, ...],
-    anchor: int,
-    block_v: int,
-    cap: int | None,
-    counter: _Budget,
-) -> tuple[int, bool]:
-    """(value, exact); exact=False means kappa >= cap and the loop stopped."""
-    value = 0
-    k = 1
-    while cap is None or k <= cap:
-        packing = _search_packing(
-            bits, smask, terminals, anchor, block_v, bits.all_v, bits.all_e, k, -1, counter
-        )
-        if packing is None:
-            return value, True
-        value = k
-        k += 1
-    return value, False
+    value, packing, stop = _climb(bits, terminals.members, 1, None, counter)
+    status = "lower-bound" if stop == "budget" else "exact"
+    return SolveResult(value, status, _to_certificate(bits, packing or []), counter.used)
 
 
 def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResult:
@@ -430,15 +421,11 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
     argmin: tuple[int, ...] | None = None
     status = "exact"
     for combo in itertools.combinations(range(graph.order), k):
-        smask = mask_of(combo)
-        anchor = min(combo, key=lambda s: ((bits.einc[s]).bit_count(), s))
-        block_v = _pick_block_vertex(bits, smask)
-        try:
-            value, exact = _kappa_below(bits, smask, combo, anchor, block_v, best, counter)
-        except BudgetExhausted:
+        value, _, stop = _climb(bits, combo, 1, best, counter)
+        if stop == "budget":
             status = "upper-bound"
             break
-        if exact and (best is None or value < best):
+        if stop == "refuted":
             best, argmin = value, combo
         if best == 0:
             break

@@ -59,20 +59,19 @@ def mask_of(ids) -> int:
     return out
 
 
-def spans(bits: GraphBits, smask: int, avail_v: int, avail_e: int) -> bool:
-    """True iff all terminal bits lie in one component of the available subgraph."""
-    if smask & ~avail_v:
-        return False
-    comp = smask & -smask
-    frontier = comp
+def reaches(bits: GraphBits, comp: int, target: int, avail_v: int, avail_e: int) -> bool:
+    """True iff every vertex of `target` is in `comp` or reachable from it
+    along edges of avail_e through vertices of avail_v."""
     einc = bits.einc
     evmask = bits.evmask
-    while frontier:
+    frontier = comp
+    while target & ~comp:
+        if not frontier:
+            return False
         nxt = 0
-        work = frontier
-        while work:
-            low = work & -work
-            work ^= low
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
             ee = einc[low.bit_length() - 1] & avail_e
             while ee:
                 elow = ee & -ee
@@ -80,9 +79,7 @@ def spans(bits: GraphBits, smask: int, avail_v: int, avail_e: int) -> bool:
                 nxt |= evmask[elow.bit_length() - 1]
         frontier = nxt & avail_v & ~comp
         comp |= frontier
-        if not smask & ~comp:
-            return True
-    return not smask & ~comp
+    return True
 
 
 def _nonterminal_degree_ok(bits: GraphBits, tree_e: int, tree_v: int, smask: int) -> bool:
@@ -112,28 +109,7 @@ def _growth_feasible(
         if (inc & tree_e).bit_count() == 1 and not inc & usable_e & ~tree_e:
             return False
     # remaining terminals must be reachable from the tree
-    missing = smask & ~tree_v
-    if not missing:
-        return True
-    comp = tree_v
-    frontier = tree_v
-    evmask = bits.evmask
-    while frontier:
-        nxt = 0
-        work = frontier
-        while work:
-            low = work & -work
-            work ^= low
-            ee = einc[low.bit_length() - 1] & usable_e
-            while ee:
-                elow = ee & -ee
-                ee ^= elow
-                nxt |= evmask[elow.bit_length() - 1]
-        frontier = nxt & avail_v & ~comp
-        comp |= frontier
-        if not missing & ~comp:
-            return True
-    return not missing & ~comp
+    return reaches(bits, tree_v, smask, avail_v, usable_e)
 
 
 def iter_minimal_trees(

@@ -81,6 +81,18 @@ def test_verify_invalid_exits_one(k4_file, tmp_path):
     assert main(["verify", "--graph", k4_file, "--terminals", "0,1,2,3", "--cert", str(bad)]) == 1
 
 
+def test_malformed_json_is_an_error_not_a_traceback(k4_file, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"trees": 5}')
+    args = ["verify", "--graph", k4_file, "--terminals", "0,1", "--cert", str(cert)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    graph = tmp_path / "g.json"
+    graph.write_text('{"order": 3, "edges": [5]}')
+    assert main(["kappa", "--graph", str(graph), "--terminals", "0,1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_error_exits_one(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert main(["kappa", "--graph", missing, "--terminals", "0,1"]) == 1
@@ -205,6 +217,8 @@ def test_kappa_k_command(k4_file, capsys):
     out = capsys.readouterr().out
     assert "kappa_4 = 2 (exact)" in out
     assert "subset = 0,1,2,3" in out
+    with pytest.raises(SystemExit):
+        main(["kappa-k", "--graph", k4_file, "--k", "4", "--out", "unused.json"])
 
 
 def test_kappa_k_json(k4_file, capsys):

@@ -1,0 +1,54 @@
+from __future__ import annotations
+
+import json
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from treeconn import GraphFormatError, parse_certificate, parse_graph
+from treeconn.reductions import parse_3dm, parse_dimacs, parse_reduced
+
+# field names of every JSON format, so that generated objects often get
+# past the top-level checks and reach the readers' inner validation
+KEYS = [
+    "order", "edges", "labels", "trees", "vertices", "n", "triples",
+    "graph", "terminals", "threshold", "roles", "0", "1", "2",
+]
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2, max_value=6)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=2), children, max_size=5),
+    max_leaves=25,
+)
+
+dimacs_lines = st.lists(
+    st.sampled_from(["p", "cnf", "c", "0", "1", "-1", "2", "-3", "4", "x"])
+    | st.integers(min_value=-5, max_value=5).map(str),
+    max_size=6,
+).map(" ".join)
+
+texts = st.one_of(
+    st.text(max_size=40),
+    json_values.map(json.dumps),
+    st.lists(dimacs_lines, max_size=6).map("\n".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts)
+@example("[" * 100_000)
+@example("1" * 5000)
+@example('{"trees": 5}')
+@example('{"order": 3, "edges": [5]}')
+@example('{"graph": {"order": 2}, "terminals": [0, 1], "threshold": "1", "roles": []}')
+def test_parsers_return_or_raise_format_error(text):
+    for parse in (parse_graph, parse_certificate, parse_3dm, parse_reduced, parse_dimacs):
+        try:
+            parse(text)
+        except GraphFormatError:
+            pass

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from treeconn import (
+    GraphFormatError,
     Matching,
     ThreeDMInstance,
     decide_kappa_at_least,
@@ -133,6 +134,15 @@ def test_oracle_examples():
 def test_instance_json_round_trip():
     inst = ThreeDMInstance(2, ((0, 1, 0), (1, 0, 1)))
     assert parse_3dm(serialize_3dm(inst)) == inst
+    # sizes and indices must be integers, or the reduction fails later
+    for bad in (
+        '{"n": 1.5, "triples": [[0, 0, 0], [1, 1, 1]]}',
+        '{"n": true, "triples": [[0, 0, 0]]}',
+    ):
+        with pytest.raises(GraphFormatError, match="ground set size"):
+            parse_3dm(bad)
+    with pytest.raises(GraphFormatError, match="index 0.5"):
+        parse_3dm('{"n": 1, "triples": [[0.5, 0, 0]]}')
 
 
 def test_reduced_serialization_is_deterministic():

@@ -76,9 +76,15 @@ def test_budget_exhaustion_reports_unknown():
     g = complete_graph(6)
     result = decide_kappa_at_least(g, (0, 1, 2, 3), 3, budget=5)
     assert result.outcome == "unknown"
+    assert result.certificate is None
+    # the node that overdraws the budget is counted, then the search stops
+    assert result.expansions == 6
     solve = kappa_set_exact(g, (0, 1, 2), budget=5)
     assert solve.status == "lower-bound"
-    assert solve.value >= 0
+    assert solve.expansions == 6
+    assert solve.value >= 1
+    assert len(solve.certificate) == solve.value
+    assert verify_certificate(g, (0, 1, 2), solve.certificate).valid
     with pytest.raises(ValueError):
         kappa_set_exact(g, (0, 1), budget=0)
 
@@ -108,8 +114,30 @@ def test_kappa_k_examples():
 
 
 def test_kappa_k_budget_flag():
-    r = kappa_k_graph(complete_graph(5), 3, budget=3)
+    k5 = complete_graph(5)
+    r = kappa_k_graph(k5, 3, budget=3)
     assert r.status == "upper-bound"
+    assert r.value is None and r.subset is None
+    assert r.expansions == 4
+    # out of budget after resolving some subsets: the best of those is an
+    # upper bound, attained by its subset
+    r = kappa_k_graph(k5, 3, budget=40)
+    assert r.status == "upper-bound" and r.expansions == 41
+    assert r.value >= kappa_k_graph(k5, 3).value
+    assert kappa_set_exact(k5, r.subset).value == r.value
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_kappa_k_is_min_over_subsets(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(4, 6), 0.6)
+    k = rng.randint(2, 4)
+    r = kappa_k_graph(g, k)
+    values = [kappa_set_exact(g, s).value for s in itertools.combinations(range(g.order), k)]
+    assert r.status == "exact"
+    assert r.value == min(values)
+    assert kappa_set_exact(g, r.subset).value == r.value
 
 
 def test_brute_force_examples():
@@ -151,7 +179,13 @@ def test_oracle_equivalence(seed, order):
     rng = random.Random(seed)
     g = random_graph(rng, order, 0.55)
     s = random_terminals(rng, g, rng.randint(2, min(4, order)))
-    assert kappa_set_exact(g, s).value == brute_force_kappa(g, s)
+    value = brute_force_kappa(g, s)
+    assert kappa_set_exact(g, s).value == value
+    if value >= 1:
+        yes = decide_kappa_at_least(g, s, value)
+        assert yes.outcome == "certificate"
+        assert verify_certificate(g, s, yes.certificate).valid
+    assert decide_kappa_at_least(g, s, value + 1).outcome == "refuted"
 
 
 @settings(max_examples=60, deadline=None)
