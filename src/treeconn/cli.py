@@ -326,8 +326,17 @@ def _add_common(parser: argparse.ArgumentParser, out_help: str) -> None:
     parser.add_argument("--out", help=out_help)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the code for an exhausted budget
+    here; report usage errors with exit 1 instead (subparsers inherit it)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treeconn",
         description="Exact tree connectivity: solve, certify, and reduce.",
     )

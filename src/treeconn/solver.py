@@ -7,11 +7,18 @@ classical count of internally disjoint paths, which `menger_pair` computes
 by maximum flow outside the search and the tests cross-check.
 
 The three entry points ask one question: does G hold l internally
-disjoint trees connecting S?  They share one level-by-level search that
-tries l = lo, lo + 1, ... until a level is refuted, a cap is packed or the
-node budget runs out.  `decide_kappa_at_least` searches the single level
-k, `kappa_set_exact` climbs from 1 without a cap, and `kappa_k_graph`
-climbs each k-subset from 1 up to the best value found so far.
+disjoint trees connecting S?  The problem is NP-hard, but exhaustive
+search is needed only between two polynomial bounds, so they share one
+level search that first sandwiches kappa(S).  The upper bound U is the
+least of the terminal degrees, |E| // (|S| - 1) and the flow bound below
+(exact for |S| = 2); the lower bound L is a greedy packing that extracts
+one Steiner tree after another.  Levels above U are refuted and levels up
+to L packed without search.  What is left is searched at the cap first,
+then upwards from L + 1 to the first refuted level.
+`decide_kappa_at_least` asks for the single level k, `kappa_set_exact`
+for every level from 1, and `kappa_k_graph` for each k-subset's levels up
+to the best value found so far, so after the first subset it mostly asks
+whether that value still packs.
 
 Each level packs inclusion-minimal Steiner trees one slot at a time.
 Within a packing each tree owns at least one edge at every terminal, so
@@ -215,44 +222,23 @@ def _flow_at_least(
     return flow
 
 
-def _fits(
+def _flow_cap(
     bits: GraphBits,
     smask: int,
     terminals: tuple[int, ...],
     avail_v: int,
     avail_e: int,
+    cap: int,
     need: int,
-) -> bool:
-    """Cheap admissible bounds: `need` free edges at every terminal, at least
-    |S| - 1 edges per tree, and S connected in what is available."""
-    einc = bits.einc
-    for s in terminals:
-        if (einc[s] & avail_e).bit_count() < need:
-            return False
-    if avail_e.bit_count() < need * (len(terminals) - 1):
-        return False
-    return not smask & ~avail_v and reaches(
-        bits, smask & -smask, smask, avail_v, avail_e
-    )
-
-
-def _packable(
-    bits: GraphBits,
-    smask: int,
-    terminals: tuple[int, ...],
-    avail_v: int,
-    avail_e: int,
-    need: int,
-) -> bool:
-    """Admissible feasibility test: could `need` more trees fit in here?"""
-    if not _fits(bits, smask, terminals, avail_v, avail_e, need):
-        return False
-    if need >= 2:
-        src = min(terminals, key=lambda s: (bits.einc[s] & avail_e).bit_count())
-        for t in terminals:
-            if t != src and _flow_at_least(bits, smask, avail_v, avail_e, src, t, need) < need:
-                return False
-    return True
+) -> int:
+    """Flow bound: min(cap, the fewest routes from the terminal of least
+    remaining degree to any other terminal).  Each tree of a packing gives
+    one route, so no more trees fit.  Stops early once below `need`."""
+    src = min(terminals, key=lambda s: (bits.einc[s] & avail_e).bit_count())
+    for t in terminals:
+        if t != src and cap >= need:
+            cap = _flow_at_least(bits, smask, avail_v, avail_e, src, t, cap)
+    return cap
 
 
 def _incident_edges(bits: GraphBits, vmask: int) -> int:
@@ -276,12 +262,9 @@ def _search_packing(
     min_anchor_edge: int,
     budget: _Budget,
 ) -> list[tuple[int, int]] | None:
+    """Pack `need` more trees, or None.  The caller has checked the bounds
+    for this node: `_climb` at the root, the parent for every child."""
     budget.tick()
-    # feasibility accounting always runs on the true availability: the
-    # ordering mask and the blocked vertex constrain this slot's tree, not
-    # the trees of later slots
-    if not _packable(bits, smask, terminals, avail_v, avail_e, need):
-        return None
     if need == 1:
         # the last slot is free of both the anchor-edge ordering and the
         # blocked vertex: it hosts whatever tree the reorderings deferred
@@ -294,12 +277,21 @@ def _search_packing(
         mask_e &= ~(bits.einc[anchor] & ((1 << (min_anchor_edge + 1)) - 1))
 
     remaining = need - 1
+    edges_needed = remaining * (len(terminals) - 1)
     einc = bits.einc
+    first = smask & -smask
 
     def prune(tree_e: int, tree_v: int) -> bool:
+        """Cheap admissible bounds on what the tree would leave: `remaining`
+        free edges at every terminal, |S| - 1 edges per tree, S connected."""
         internals = tree_v & ~smask
         rem_e = avail_e & ~tree_e & ~_incident_edges(bits, internals)
-        return not _fits(bits, smask, terminals, avail_v & ~internals, rem_e, remaining)
+        for s in terminals:
+            if (einc[s] & rem_e).bit_count() < remaining:
+                return True
+        return rem_e.bit_count() < edges_needed or not reaches(
+            bits, first, smask, avail_v & ~internals, rem_e
+        )
 
     # At most one tree of any packing contains the blocked vertex, and the
     # order-free last slot can always host that tree, so every slot before
@@ -315,6 +307,13 @@ def _search_packing(
         internals = tree_v & ~smask
         next_v = avail_v & ~internals
         next_e = avail_e & ~tree_e & ~_incident_edges(bits, internals)
+        # prune has checked the cheap bounds on exactly this remainder; the
+        # bounds run on the true availability, since the ordering mask and
+        # the blocked vertex constrain this slot's tree, not later ones
+        if remaining >= 2 and _flow_cap(
+            bits, smask, terminals, next_v, next_e, remaining, remaining
+        ) < remaining:
+            continue
         anchor_edges = tree_e & einc[anchor]
         next_min = (anchor_edges & -anchor_edges).bit_length() - 1
         sub = _search_packing(
@@ -339,36 +338,92 @@ def _pick_block_vertex(bits: GraphBits, smask: int) -> int:
     return best
 
 
+def _upper_bound(
+    bits: GraphBits, smask: int, terminals: tuple[int, ...], hi: int | None, lo: int
+) -> int:
+    """min(hi, U), or any value below lo once one is found, where U is the
+    least of the terminal degrees, |E| // (|S| - 1) and the flow bound.
+
+    U >= k implies the bounds the search checks before entering a node
+    (prune's and the flow bound) for the root of level k, so this check
+    stands in for them there.
+    """
+    cap = min(
+        min(bits.einc[s].bit_count() for s in terminals),
+        len(bits.edges) // (len(terminals) - 1),
+    )
+    if hi is not None:
+        cap = min(cap, hi)
+    return _flow_cap(bits, smask, terminals, bits.all_v, bits.all_e, cap, lo)
+
+
+def _greedy_packing(
+    bits: GraphBits, smask: int, anchor: int, cap: int
+) -> list[tuple[int, int]]:
+    """Up to `cap` trees, each extracted from what the earlier ones left."""
+    packing = []
+    avail_v, avail_e = bits.all_v, bits.all_e
+    while len(packing) < cap:
+        tree = extract_steiner_tree(bits, smask, avail_v, avail_e, anchor)
+        if tree is None:
+            break
+        packing.append(tree)
+        internals = tree[1] & ~smask
+        avail_v &= ~internals
+        avail_e &= ~tree[0] & ~_incident_edges(bits, internals)
+    return packing
+
+
 def _climb(
     bits: GraphBits,
     terminals: tuple[int, ...],
     lo: int,
     hi: int | None,
     counter: _Budget,
-) -> tuple[int, list[tuple[int, int]] | None, str]:
-    """Search levels k = lo, lo + 1, ... for a packing of k trees.
+) -> tuple[int, list[tuple[int, int]] | None, bool]:
+    """min(hi, kappa(S)), searching only the levels no bound settles.
 
-    Stops when a level is refuted ("refuted"), when level `hi` is packed
-    ("capped"; never when hi is None) or when the budget runs out
-    ("budget").  Returns the highest level packed, lo - 1 if none, with its
-    packing (None if none) and the reason for stopping.
+    An upper bound U (terminal degree, edge budget, flow) and a greedy
+    packing of L trees close the levels outside L + 1 .. U; the cap
+    min(hi, U) is searched first, then the levels above max(lo - 1, L)
+    upwards until one is refuted.  Returns (value, packing, exact): value
+    is the highest level packed, or lo - 1 when no level from lo up can be
+    packed; packing is None when value was not packed.  exact is False when
+    the budget ran out, and value is then a lower bound.  The bounds are
+    not charged to the budget.
     """
     smask = mask_of(terminals)
+    cap = _upper_bound(bits, smask, terminals, hi, lo)
+    if cap < lo:
+        return lo - 1, None, True
     anchor = min(terminals, key=lambda s: (bits.einc[s].bit_count(), s))
-    block_v = _pick_block_vertex(bits, smask)
     value, packing = lo - 1, None
+    if lo < cap:
+        greedy = _greedy_packing(bits, smask, anchor, cap)
+        if len(greedy) == cap:
+            return cap, greedy, True
+        if len(greedy) >= lo:
+            value, packing = len(greedy), greedy
+    block_v = _pick_block_vertex(bits, smask)
+
+    def search(k: int) -> list[tuple[int, int]] | None:
+        return _search_packing(
+            bits, smask, terminals, anchor, block_v,
+            bits.all_v, bits.all_e, k, -1, counter,
+        )
+
     try:
-        for k in itertools.count(lo) if hi is None else range(lo, hi + 1):
-            found = _search_packing(
-                bits, smask, terminals, anchor, block_v,
-                bits.all_v, bits.all_e, k, -1, counter,
-            )
+        found = search(cap)
+        if found is not None:
+            return cap, found, True
+        for k in range(value + 1, cap):
+            found = search(k)
             if found is None:
-                return value, packing, "refuted"
+                break
             value, packing = k, found
     except BudgetExhausted:
-        return value, packing, "budget"
-    return value, packing, "capped"
+        return value, packing, False
+    return value, packing, True
 
 
 def _to_certificate(bits: GraphBits, packing: list[tuple[int, int]]) -> TreeCertificate:
@@ -385,11 +440,10 @@ def decide_kappa_at_least(
     terminals.validate_in(graph)
     bits = GraphBits(graph)
     counter = _Budget(budget)
-    _, packing, stop = _climb(bits, terminals.members, k, k, counter)
-    if stop == "capped":
+    value, packing, exact = _climb(bits, terminals.members, k, k, counter)
+    if value == k:
         return DecideResult("certificate", _to_certificate(bits, packing), counter.used)
-    outcome = "unknown" if stop == "budget" else "refuted"
-    return DecideResult(outcome, None, counter.used)
+    return DecideResult("refuted" if exact else "unknown", None, counter.used)
 
 
 def kappa_set_exact(graph: Graph, terminals, budget: int | None = None) -> SolveResult:
@@ -402,8 +456,8 @@ def kappa_set_exact(graph: Graph, terminals, budget: int | None = None) -> Solve
     terminals.validate_in(graph)
     bits = GraphBits(graph)
     counter = _Budget(budget)
-    value, packing, stop = _climb(bits, terminals.members, 1, None, counter)
-    status = "lower-bound" if stop == "budget" else "exact"
+    value, packing, exact = _climb(bits, terminals.members, 1, None, counter)
+    status = "exact" if exact else "lower-bound"
     return SolveResult(value, status, _to_certificate(bits, packing or []), counter.used)
 
 
@@ -411,7 +465,8 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
     """min over all k-subsets S of kappa(S), with one minimizing subset.
 
     Subsets are scanned in lexicographic order; later subsets only need to
-    be resolved below the best value seen so far.
+    be resolved below the best value seen so far, and those whose bounds
+    already pack that value cost no search.
     """
     if not 2 <= k <= graph.order:
         raise ValueError(f"k must be in [2, {graph.order}], got {k}")
@@ -421,11 +476,11 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
     argmin: tuple[int, ...] | None = None
     status = "exact"
     for combo in itertools.combinations(range(graph.order), k):
-        value, _, stop = _climb(bits, combo, 1, best, counter)
-        if stop == "budget":
+        value, _, exact = _climb(bits, combo, 1, best, counter)
+        if not exact:
             status = "upper-bound"
             break
-        if stop == "refuted":
+        if best is None or value < best:
             best, argmin = value, combo
         if best == 0:
             break

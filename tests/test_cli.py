@@ -93,9 +93,18 @@ def test_malformed_json_is_an_error_not_a_traceback(k4_file, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_usage_error_exits_one(tmp_path):
+def test_usage_error_exits_one(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["kappa", "--graph", missing, "--terminals", "0,1"]) == 1
+    # argparse's own code 2 would read as "budget exhausted"
+    for argv in (["kappa", "--bogus"], ["kappa", "--graph", missing], ["nosuch"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["kappa", "--help"])
+    assert exc.value.code == 0
 
 
 def test_reduce_3dm_summary(tmp_path, capsys):
@@ -217,14 +226,17 @@ def test_kappa_k_command(k4_file, capsys):
     out = capsys.readouterr().out
     assert "kappa_4 = 2 (exact)" in out
     assert "subset = 0,1,2,3" in out
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["kappa-k", "--graph", k4_file, "--k", "4", "--out", "unused.json"])
+    assert exc.value.code == 1
 
 
 def test_kappa_k_json(k4_file, capsys):
+    # the greedy packing of K4 (1 tree) stays below the bound (2), so the
+    # one subset is searched and a budget of 1 runs out mid-search
     assert main(["kappa-k", "--graph", k4_file, "--k", "4", "--json"]) == 0
     out = capsys.readouterr().out
-    assert out == '{"expansions": 9, "status": "exact", "subset": [0, 1, 2, 3], "value": 2}\n'
+    assert out == '{"expansions": 7, "status": "exact", "subset": [0, 1, 2, 3], "value": 2}\n'
     assert main(["kappa-k", "--graph", k4_file, "--k", "4", "--json", "--budget", "1"]) == 2
     out = capsys.readouterr().out
     assert out == '{"expansions": 2, "status": "upper-bound", "subset": null, "value": null}\n'

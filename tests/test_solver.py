@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -20,7 +21,10 @@ from treeconn import (
     path_graph,
     verify_certificate,
 )
+from treeconn.certificates import TreeCertificate
 from treeconn.generators import random_connected_graph, random_graph, random_terminals
+from treeconn.solver import _greedy_packing, _upper_bound
+from treeconn.steiner import GraphBits, mask_of, tree_from_masks
 
 
 def test_path_pair():
@@ -114,17 +118,19 @@ def test_kappa_k_examples():
 
 
 def test_kappa_k_budget_flag():
-    k5 = complete_graph(5)
-    r = kappa_k_graph(k5, 3, budget=3)
+    # in K6 with k = 4 the greedy packing (3 trees) stays below the upper
+    # bound (5), so every subset needs a search
+    k6 = complete_graph(6)
+    r = kappa_k_graph(k6, 4, budget=3)
     assert r.status == "upper-bound"
     assert r.value is None and r.subset is None
     assert r.expansions == 4
     # out of budget after resolving some subsets: the best of those is an
     # upper bound, attained by its subset
-    r = kappa_k_graph(k5, 3, budget=40)
-    assert r.status == "upper-bound" and r.expansions == 41
-    assert r.value >= kappa_k_graph(k5, 3).value
-    assert kappa_set_exact(k5, r.subset).value == r.value
+    r = kappa_k_graph(k6, 4, budget=100)
+    assert r.status == "upper-bound" and r.expansions == 101
+    assert r.value >= kappa_k_graph(k6, 4).value
+    assert kappa_set_exact(k6, r.subset).value == r.value
 
 
 @settings(max_examples=40, deadline=None)
@@ -168,9 +174,40 @@ def test_certificates_always_verify():
 def test_solver_is_deterministic():
     rng = random.Random(7)
     g = random_connected_graph(rng, 7, 0.5)
-    a = kappa_set_exact(g, (0, 1, 2))
-    b = kappa_set_exact(g, (0, 1, 2))
-    assert a == b
+    # budget 5 runs out in kappa and kappa_k, after the greedy packing in kappa
+    for budget in (None, 5):
+        for call in (
+            lambda: kappa_set_exact(g, (0, 1, 2), budget),
+            lambda: decide_kappa_at_least(g, (0, 1, 2), 2, budget),
+            lambda: kappa_k_graph(g, 3, budget),
+        ):
+            first = json.dumps(call().to_obj(), sort_keys=True)
+            for _ in range(3):
+                assert json.dumps(call().to_obj(), sort_keys=True) == first
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_bounds_are_admissible(seed):
+    # the benchmark checks no upper bound for |S| >= 3: a bound that is too
+    # tight would close levels with wrong answers, and only this test sees it
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(3, 8), 0.45)
+    s = random_terminals(rng, g, rng.randint(2, min(4, g.order)))
+    bits = GraphBits(g)
+    smask = mask_of(s.members)
+    value = brute_force_kappa(g, s)
+    upper = _upper_bound(bits, smask, s.members, None, 1)
+    assert value <= upper
+    if len(s) == 2:
+        assert upper == menger_pair(g, *s.members)
+    for root in s:
+        greedy = _greedy_packing(bits, smask, root, g.order)
+        cert = TreeCertificate(tuple(tree_from_masks(bits, te, tv) for te, tv in greedy))
+        assert verify_certificate(g, s, cert).valid
+        assert len(greedy) <= value
+    over = decide_kappa_at_least(g, s, upper + 1)
+    assert over.outcome == "refuted" and over.expansions == 0
 
 
 @settings(max_examples=80, deadline=None)
