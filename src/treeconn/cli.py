@@ -94,16 +94,13 @@ def _maybe_dot(args, graph: Graph, terminals: TerminalSet | None) -> None:
         Path(args.dot).write_text(export_dot(graph, terminals))
 
 
-def _reduced_summary(args, inst: ReducedInstance, out_obj: dict | None = None) -> None:
-    obj = out_obj if out_obj is not None else {}
-    obj.update(
-        {
-            "vertices": inst.graph.order,
-            "edges": inst.graph.edge_count,
-            "threshold": inst.threshold,
-            "terminals": list(inst.terminals.members),
-        }
-    )
+def _reduced_summary(args, inst: ReducedInstance) -> None:
+    obj = {
+        "vertices": inst.graph.order,
+        "edges": inst.graph.edge_count,
+        "threshold": inst.threshold,
+        "terminals": list(inst.terminals.members),
+    }
     _emit(
         args,
         obj,
@@ -443,8 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # RecursionError: the Steiner enumerator recurses once per tree edge, so
-    # very long trees outgrow the interpreter stack
+    # RecursionError: the canonical topology code recurses once per level of
+    # the reduced tree, so a tree with a long chain of terminals outgrows the
+    # interpreter stack
     try:
         if hasattr(args, "budget") and args.budget is None:
             args.budget = _default_budget()

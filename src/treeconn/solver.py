@@ -9,7 +9,8 @@ by maximum flow outside the search and the tests cross-check.
 The three entry points ask one question: does G hold l internally
 disjoint trees connecting S?  The problem is NP-hard, but exhaustive
 search is needed only between two polynomial bounds, so they share one
-level search that first sandwiches kappa(S).  The upper bound U is the
+level search that first sandwiches kappa(S).  The upper bound U, computed
+by one routine for the whole graph and for every search node, is the
 least of the terminal degrees, |E| // (|S| - 1) and the flow bound below
 (exact for |S| = 2); the lower bound L is a greedy packing that extracts
 one Steiner tree after another.  Levels above U are refuted and levels up
@@ -25,12 +26,14 @@ Within a packing each tree owns at least one edge at every terminal, so
 the trees are totally ordered by their lowest edge at a fixed anchor
 terminal; each slot masks anchor edges at or below the previous tree's
 minimum, which breaks permutation symmetry at no cost.  Admissible bounds
-prune the search: per-terminal remaining degree, a global edge budget,
-connectivity of S in what would remain, and a vertex-capacitated flow
-bound (non-terminals capacity one, terminals uncapacitated) that is exact
-for two terminals.  The flow is found by unit-capacity augmenting paths on
-the vertex-split graph, held as edge bitmasks, so no network is built per
-call.
+prune the search: while a tree grows, the degree and edge terms of U and
+connectivity of S are checked on what it would leave; a finished tree's
+remainder must also pass the flow bound (non-terminals capacity one,
+terminals uncapacitated) before the next slot is searched.  The flow is
+found by unit-capacity augmenting paths on the vertex-split graph, held as
+edge bitmasks, so no network is built per call.  The Steiner enumerator
+keeps its own stack, so tree length is not limited by the interpreter's
+recursion limit.
 
 `brute_force_kappa` is an independent oracle: it enumerates candidate
 trees by Steiner-vertex subsets and packs them by plain exhaustive search,
@@ -222,7 +225,7 @@ def _flow_at_least(
     return flow
 
 
-def _flow_cap(
+def _bound(
     bits: GraphBits,
     smask: int,
     terminals: tuple[int, ...],
@@ -231,130 +234,34 @@ def _flow_cap(
     cap: int,
     need: int,
 ) -> int:
-    """Flow bound: min(cap, the fewest routes from the terminal of least
-    remaining degree to any other terminal).  Each tree of a packing gives
-    one route, so no more trees fit.  Stops early once below `need`."""
-    src = min(terminals, key=lambda s: (bits.einc[s] & avail_e).bit_count())
+    """min(cap, U) for the available subgraph, or any value below `need`
+    once one is found.  U is the least of the terminal degrees,
+    |E| // (|S| - 1) (each tree needs |S| - 1 edges) and the flow bound:
+    the fewest routes from the terminal of least degree to any other
+    terminal, since each tree of a packing gives one route."""
+    degrees = [(bits.einc[s] & avail_e).bit_count() for s in terminals]
+    least = min(degrees)
+    cap = min(cap, least, avail_e.bit_count() // (len(terminals) - 1))
+    src = terminals[degrees.index(least)]
     for t in terminals:
         if t != src and cap >= need:
             cap = _flow_at_least(bits, smask, avail_v, avail_e, src, t, cap)
     return cap
 
 
-def _incident_edges(bits: GraphBits, vmask: int) -> int:
-    out = 0
-    while vmask:
-        low = vmask & -vmask
-        vmask ^= low
-        out |= bits.einc[low.bit_length() - 1]
-    return out
-
-
-def _search_packing(
-    bits: GraphBits,
-    smask: int,
-    terminals: tuple[int, ...],
-    anchor: int,
-    block_v: int,
-    avail_v: int,
-    avail_e: int,
-    need: int,
-    min_anchor_edge: int,
-    budget: _Budget,
-) -> list[tuple[int, int]] | None:
-    """Pack `need` more trees, or None.  The caller has checked the bounds
-    for this node: `_climb` at the root, the parent for every child."""
-    budget.tick()
-    if need == 1:
-        # the last slot is free of both the anchor-edge ordering and the
-        # blocked vertex: it hosts whatever tree the reorderings deferred
-        tree = extract_steiner_tree(bits, smask, avail_v, avail_e, anchor)
-        return None if tree is None else [tree]
-    mask_e = avail_e
-    if min_anchor_edge >= 0:
-        # anchor edges at or below the previous tree's minimum belong to
-        # earlier slots of the canonical ordering and are dead from here on
-        mask_e &= ~(bits.einc[anchor] & ((1 << (min_anchor_edge + 1)) - 1))
-
-    remaining = need - 1
-    edges_needed = remaining * (len(terminals) - 1)
-    einc = bits.einc
-    first = smask & -smask
-
-    def prune(tree_e: int, tree_v: int) -> bool:
-        """Cheap admissible bounds on what the tree would leave: `remaining`
-        free edges at every terminal, |S| - 1 edges per tree, S connected."""
-        internals = tree_v & ~smask
-        rem_e = avail_e & ~tree_e & ~_incident_edges(bits, internals)
-        for s in terminals:
-            if (einc[s] & rem_e).bit_count() < remaining:
-                return True
-        return rem_e.bit_count() < edges_needed or not reaches(
-            bits, first, smask, avail_v & ~internals, rem_e
-        )
-
-    # At most one tree of any packing contains the blocked vertex, and the
-    # order-free last slot can always host that tree, so every slot before
-    # it may skip trees through block_v without losing completeness.
-    enum_v = avail_v
-    enum_e = mask_e
-    if block_v >= 0:
-        enum_v &= ~(1 << block_v)
-        enum_e &= ~einc[block_v]
-    for tree_e, tree_v in iter_minimal_trees(
-        bits, smask, enum_v, enum_e, anchor, budget.tick, prune
-    ):
-        internals = tree_v & ~smask
-        next_v = avail_v & ~internals
-        next_e = avail_e & ~tree_e & ~_incident_edges(bits, internals)
-        # prune has checked the cheap bounds on exactly this remainder; the
-        # bounds run on the true availability, since the ordering mask and
-        # the blocked vertex constrain this slot's tree, not later ones
-        if remaining >= 2 and _flow_cap(
-            bits, smask, terminals, next_v, next_e, remaining, remaining
-        ) < remaining:
-            continue
-        anchor_edges = tree_e & einc[anchor]
-        next_min = (anchor_edges & -anchor_edges).bit_length() - 1
-        sub = _search_packing(
-            bits, smask, terminals, anchor, block_v, next_v, next_e,
-            need - 1, next_min, budget,
-        )
-        if sub is not None:
-            return [(tree_e, tree_v)] + sub
-    return None
-
-
-def _pick_block_vertex(bits: GraphBits, smask: int) -> int:
-    """Non-terminal of maximum degree, or -1 when every vertex is a terminal."""
-    best = -1
-    best_deg = -1
-    for v in range(bits.order):
-        if (1 << v) & smask:
-            continue
-        deg = bits.einc[v].bit_count()
-        if deg > best_deg:
-            best, best_deg = v, deg
-    return best
-
-
-def _upper_bound(
-    bits: GraphBits, smask: int, terminals: tuple[int, ...], hi: int | None, lo: int
-) -> int:
-    """min(hi, U), or any value below lo once one is found, where U is the
-    least of the terminal degrees, |E| // (|S| - 1) and the flow bound.
-
-    U >= k implies the bounds the search checks before entering a node
-    (prune's and the flow bound) for the root of level k, so this check
-    stands in for them there.
-    """
-    cap = min(
-        min(bits.einc[s].bit_count() for s in terminals),
-        len(bits.edges) // (len(terminals) - 1),
-    )
-    if hi is not None:
-        cap = min(cap, hi)
-    return _flow_cap(bits, smask, terminals, bits.all_v, bits.all_e, cap, lo)
+def _remainder(
+    bits: GraphBits, smask: int, avail_v: int, avail_e: int, tree_e: int, tree_v: int
+) -> tuple[int, int]:
+    """What a tree leaves to the others: the available vertices and edges
+    without its edges, its non-terminals and their edges."""
+    internals = tree_v & ~smask
+    avail_v &= ~internals
+    avail_e &= ~tree_e
+    while internals:
+        low = internals & -internals
+        internals ^= low
+        avail_e &= ~bits.einc[low.bit_length() - 1]
+    return avail_v, avail_e
 
 
 def _greedy_packing(
@@ -368,9 +275,7 @@ def _greedy_packing(
         if tree is None:
             break
         packing.append(tree)
-        internals = tree[1] & ~smask
-        avail_v &= ~internals
-        avail_e &= ~tree[0] & ~_incident_edges(bits, internals)
+        avail_v, avail_e = _remainder(bits, smask, avail_v, avail_e, *tree)
     return packing
 
 
@@ -383,20 +288,24 @@ def _climb(
 ) -> tuple[int, list[tuple[int, int]] | None, bool]:
     """min(hi, kappa(S)), searching only the levels no bound settles.
 
-    An upper bound U (terminal degree, edge budget, flow) and a greedy
-    packing of L trees close the levels outside L + 1 .. U; the cap
-    min(hi, U) is searched first, then the levels above max(lo - 1, L)
-    upwards until one is refuted.  Returns (value, packing, exact): value
-    is the highest level packed, or lo - 1 when no level from lo up can be
-    packed; packing is None when value was not packed.  exact is False when
-    the budget ran out, and value is then a lower bound.  The bounds are
-    not charged to the budget.
+    The upper bound U of `_bound` and a greedy packing of L trees close the
+    levels outside L + 1 .. U; the cap min(hi, U) is searched first, then
+    the levels above max(lo - 1, L) upwards until one is refuted.  Returns
+    (value, packing, exact): value is the highest level packed, or lo - 1
+    when no level from lo up can be packed; packing is None when value was
+    not packed.  exact is False when the budget ran out, and value is then
+    a lower bound.  The bounds are not charged to the budget.
     """
     smask = mask_of(terminals)
-    cap = _upper_bound(bits, smask, terminals, hi, lo)
+    # U <= the least terminal degree <= |E|, so |E| leaves U uncapped
+    cap = _bound(
+        bits, smask, terminals, bits.all_v, bits.all_e,
+        len(bits.edges) if hi is None else hi, lo,
+    )
     if cap < lo:
         return lo - 1, None, True
-    anchor = min(terminals, key=lambda s: (bits.einc[s].bit_count(), s))
+    einc = bits.einc
+    anchor = min(terminals, key=lambda s: (einc[s].bit_count(), s))
     value, packing = lo - 1, None
     if lo < cap:
         greedy = _greedy_packing(bits, smask, anchor, cap)
@@ -404,20 +313,74 @@ def _climb(
             return cap, greedy, True
         if len(greedy) >= lo:
             value, packing = len(greedy), greedy
-    block_v = _pick_block_vertex(bits, smask)
+    # At most one tree of any packing contains the blocked vertex, a
+    # non-terminal of maximum degree, and the order-free last slot can
+    # always host that tree, so every slot before it may skip trees
+    # through the blocked vertex without losing completeness.
+    block = max(
+        (v for v in range(bits.order) if not smask >> v & 1),
+        key=lambda v: einc[v].bit_count(),
+        default=None,
+    )
+    block_v, block_e = (0, 0) if block is None else (1 << block, einc[block])
+    first = smask & -smask
+    edges_per_tree = len(terminals) - 1
 
-    def search(k: int) -> list[tuple[int, int]] | None:
-        return _search_packing(
-            bits, smask, terminals, anchor, block_v,
-            bits.all_v, bits.all_e, k, -1, counter,
-        )
+    def search(
+        avail_v: int, avail_e: int, need: int, min_anchor_edge: int
+    ) -> list[tuple[int, int]] | None:
+        """Pack `need` more trees, or None.  The caller has checked the
+        bounds for this node: `_climb` at the root, the parent for every
+        child."""
+        counter.tick()
+        if need == 1:
+            # the last slot is free of both the anchor-edge ordering and the
+            # blocked vertex: it hosts whatever tree the reorderings deferred
+            tree = extract_steiner_tree(bits, smask, avail_v, avail_e, anchor)
+            return None if tree is None else [tree]
+        remaining = need - 1
+
+        def prune(tree_e: int, tree_v: int) -> bool:
+            """The cheap terms of `_bound` on what the tree would leave:
+            `remaining` free edges at every terminal and in all, S connected."""
+            rem_v, rem_e = _remainder(bits, smask, avail_v, avail_e, tree_e, tree_v)
+            for s in terminals:
+                if (einc[s] & rem_e).bit_count() < remaining:
+                    return True
+            return rem_e.bit_count() < remaining * edges_per_tree or not reaches(
+                bits, first, smask, rem_v, rem_e
+            )
+
+        # anchor edges at or below the previous tree's minimum belong to
+        # earlier slots of the canonical ordering and are dead from here on
+        dead_e = einc[anchor] & ((1 << (min_anchor_edge + 1)) - 1)
+        for tree_e, tree_v in iter_minimal_trees(
+            bits, smask, avail_v & ~block_v, avail_e & ~dead_e & ~block_e,
+            anchor, counter.tick, prune,
+        ):
+            next_v, next_e = _remainder(bits, smask, avail_v, avail_e, tree_e, tree_v)
+            # prune has checked the cheap terms on exactly this remainder, so
+            # only the flow can close it; the bound runs on the true
+            # availability, since the ordering mask and the blocked vertex
+            # constrain this slot's tree, not later ones
+            if remaining >= 2 and _bound(
+                bits, smask, terminals, next_v, next_e, remaining, remaining
+            ) < remaining:
+                continue
+            anchor_edges = tree_e & einc[anchor]
+            sub = search(
+                next_v, next_e, remaining, (anchor_edges & -anchor_edges).bit_length() - 1
+            )
+            if sub is not None:
+                return [(tree_e, tree_v)] + sub
+        return None
 
     try:
-        found = search(cap)
+        found = search(bits.all_v, bits.all_e, cap, -1)
         if found is not None:
             return cap, found, True
         for k in range(value + 1, cap):
-            found = search(k)
+            found = search(bits.all_v, bits.all_e, k, -1)
             if found is None:
                 break
             value, packing = k, found

@@ -22,7 +22,7 @@ from .certificates import Tree
 class GraphBits:
     """Bitmask view of a graph for the combinatorial search routines."""
 
-    __slots__ = ("order", "edges", "eu", "ev", "einc", "evmask", "adj", "all_v", "all_e")
+    __slots__ = ("order", "edges", "eu", "ev", "einc", "evmask", "all_v", "all_e")
 
     def __init__(self, graph: Graph):
         self.order = graph.order
@@ -31,7 +31,6 @@ class GraphBits:
         self.ev: list[int] = []
         self.einc = [0] * graph.order
         self.evmask: list[int] = []
-        self.adj = [0] * graph.order
         for i, (u, v) in enumerate(graph.edges):
             self.eu.append(u)
             self.ev.append(v)
@@ -39,8 +38,6 @@ class GraphBits:
             self.einc[u] |= bit
             self.einc[v] |= bit
             self.evmask.append((1 << u) | (1 << v))
-            self.adj[u] |= 1 << v
-            self.adj[v] |= 1 << u
         self.all_v = (1 << graph.order) - 1
         self.all_e = (1 << len(graph.edges)) - 1
 
@@ -135,14 +132,21 @@ def iter_minimal_trees(
         return
     einc = bits.einc
     evmask = bits.evmask
-
-    def rec(tree_e: int, tree_v: int, excl: int, frontier: int) -> Iterator[tuple[int, int]]:
+    # (tree_e, tree_v, excl, frontier, check): a search node; `check` marks
+    # an exclude branch, whose completability is tested only when popped
+    stack = [(0, rootbit, 0, einc[root] & avail_e, False)]
+    while stack:
+        tree_e, tree_v, excl, frontier, check = stack.pop()
+        if check and not _growth_feasible(
+            bits, smask, avail_v, avail_e & ~excl, tree_e, tree_v
+        ):
+            continue
         if tick is not None:
             tick()
         if not smask & ~tree_v and _nonterminal_degree_ok(bits, tree_e, tree_v, smask):
             # complete: no strict supertree can be minimal, stop growing
             yield (tree_e, tree_v)
-            return
+            continue
         # lowest admissible frontier edge; edges closing a cycle drop out for good
         cand = -1
         work = frontier & ~excl
@@ -156,28 +160,21 @@ def iter_minimal_trees(
             cand = e
             break
         if cand < 0:
-            return
+            continue
         bit = 1 << cand
+        # exclude goes under include, so it is explored after include's subtree
+        stack.append((tree_e, tree_v, excl | bit, frontier & ~bit, True))
         wmask = evmask[cand] & ~tree_v
         w = wmask.bit_length() - 1
         # include: the new vertex, if non-terminal, must be fixable later
         grown_e = tree_e | bit
         grown_v = tree_v | wmask
-        ok = True
-        if not wmask & smask and not einc[w] & avail_e & ~excl & ~grown_e:
-            ok = False
-        if ok and prune is not None and prune(grown_e, grown_v):
-            ok = False
-        if ok:
-            yield from rec(
-                grown_e, grown_v, excl, (frontier | (einc[w] & avail_e)) & ~grown_e
+        if (wmask & smask or einc[w] & avail_e & ~excl & ~grown_e) and (
+            prune is None or not prune(grown_e, grown_v)
+        ):
+            stack.append(
+                (grown_e, grown_v, excl, (frontier | (einc[w] & avail_e)) & ~grown_e, False)
             )
-        # exclude: the tree itself must stay completable
-        excl2 = excl | bit
-        if _growth_feasible(bits, smask, avail_v, avail_e & ~excl2, tree_e, tree_v):
-            yield from rec(tree_e, tree_v, excl2, frontier & ~bit)
-
-    yield from rec(0, rootbit, 0, einc[root] & avail_e)
 
 
 def extract_steiner_tree(
@@ -298,21 +295,16 @@ class ReducedTopology:
 
 
 def _reduced_code(adj: dict[int, list[int]], terminal_ids: frozenset[int]) -> str:
-    # suppress non-terminal vertices of degree 2
+    # suppress non-terminal vertices of degree 2; in a tree this changes no
+    # other vertex's degree, so one pass finds them all
     adj = {v: sorted(nb) for v, nb in adj.items()}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(adj):
-            if v not in terminal_ids and len(adj[v]) == 2:
-                a, b = adj[v]
-                adj[a].remove(v)
-                adj[b].remove(v)
-                adj[a].append(b)
-                adj[b].append(a)
-                del adj[v]
-                changed = True
-                break
+    for v in sorted(adj):
+        if v not in terminal_ids and len(adj[v]) == 2:
+            a, b = adj.pop(v)
+            adj[a].remove(v)
+            adj[b].remove(v)
+            adj[a].append(b)
+            adj[b].append(a)
 
     def rooted(v: int, parent: int | None) -> str:
         label = "T" if v in terminal_ids else "*"

@@ -243,8 +243,19 @@ def test_kappa_k_json(k4_file, capsys):
 
 
 def test_deep_recursion_is_an_error_not_a_traceback(tmp_path, capsys):
+    # the enumerator keeps its own stack, so a tree of 1,199 edges is answered
     path = tmp_path / "p1200.json"
     path.write_text(serialize_graph(path_graph(1200)))
-    assert main(["classify", "--graph", str(path), "--terminals", "0,1199"]) == 1
+    assert main(["classify", "--graph", str(path), "--terminals", "0,1199", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["trees"] == 1 and obj["classes"] == {"T(T())": 1}
+
+
+def test_recursion_error_exits_one(p3_file, monkeypatch, capsys):
+    def deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("treeconn.cli.enumerate_steiner_trees", deep)
+    assert main(["classify", "--graph", p3_file, "--terminals", "0,2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -23,7 +23,7 @@ from treeconn import (
 )
 from treeconn.certificates import TreeCertificate
 from treeconn.generators import random_connected_graph, random_graph, random_terminals
-from treeconn.solver import _greedy_packing, _upper_bound
+from treeconn.solver import _bound, _greedy_packing
 from treeconn.steiner import GraphBits, mask_of, tree_from_masks
 
 
@@ -197,7 +197,7 @@ def test_bounds_are_admissible(seed):
     bits = GraphBits(g)
     smask = mask_of(s.members)
     value = brute_force_kappa(g, s)
-    upper = _upper_bound(bits, smask, s.members, None, 1)
+    upper = _bound(bits, smask, s.members, bits.all_v, bits.all_e, g.edge_count, 1)
     assert value <= upper
     if len(s) == 2:
         assert upper == menger_pair(g, *s.members)

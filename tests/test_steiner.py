@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Callable, Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,71 @@ from treeconn import (
 )
 from treeconn.generators import random_graph
 from treeconn.solver import _minimal_trees_by_subsets
-from treeconn.steiner import GraphBits, mask_of
+from treeconn.steiner import (
+    GraphBits,
+    _growth_feasible,
+    _nonterminal_degree_ok,
+    iter_minimal_trees,
+    mask_of,
+)
+
+
+def reference_minimal_trees(
+    bits: GraphBits,
+    smask: int,
+    avail_v: int,
+    avail_e: int,
+    root: int,
+    tick: Callable[[], None] | None = None,
+    prune: Callable[[int, int], bool] | None = None,
+) -> Iterator[tuple[int, int]]:
+    """The enumerator as a recursion: include the lowest frontier edge, then
+    exclude it.  `iter_minimal_trees` walks the same search nodes with an
+    explicit stack; the solver's work counts depend on their order."""
+    rootbit = 1 << root
+    if not rootbit & avail_v:
+        return
+    einc = bits.einc
+    evmask = bits.evmask
+
+    def rec(tree_e: int, tree_v: int, excl: int, frontier: int) -> Iterator[tuple[int, int]]:
+        if tick is not None:
+            tick()
+        if not smask & ~tree_v and _nonterminal_degree_ok(bits, tree_e, tree_v, smask):
+            yield (tree_e, tree_v)
+            return
+        cand = -1
+        work = frontier & ~excl
+        while work:
+            low = work & -work
+            e = low.bit_length() - 1
+            if not evmask[e] & ~tree_v:
+                frontier ^= low
+                work ^= low
+                continue
+            cand = e
+            break
+        if cand < 0:
+            return
+        bit = 1 << cand
+        wmask = evmask[cand] & ~tree_v
+        w = wmask.bit_length() - 1
+        grown_e = tree_e | bit
+        grown_v = tree_v | wmask
+        ok = True
+        if not wmask & smask and not einc[w] & avail_e & ~excl & ~grown_e:
+            ok = False
+        if ok and prune is not None and prune(grown_e, grown_v):
+            ok = False
+        if ok:
+            yield from rec(
+                grown_e, grown_v, excl, (frontier | (einc[w] & avail_e)) & ~grown_e
+            )
+        excl2 = excl | bit
+        if _growth_feasible(bits, smask, avail_v, avail_e & ~excl2, tree_e, tree_v):
+            yield from rec(tree_e, tree_v, excl2, frontier & ~bit)
+
+    yield from rec(0, rootbit, 0, einc[root] & avail_e)
 
 
 def test_path_has_single_tree():
@@ -85,6 +150,59 @@ def test_growth_enumeration_matches_subset_enumeration(seed, order):
         for te, tv in expected
     }
     assert got == exp
+
+
+class _Stop(Exception):
+    pass
+
+
+def _events(enumerate_trees, bits, smask, avail_v, avail_e, root, veto, stop_after):
+    """Every tick, prune call and tree in the order they happen."""
+    events: list = []
+    ticks = itertools.count(1)
+
+    def tick() -> None:
+        events.append("tick")
+        if stop_after is not None and next(ticks) > stop_after:
+            raise _Stop
+
+    def prune(tree_e: int, tree_v: int) -> bool:
+        events.append(("prune", tree_e, tree_v))
+        return hash((veto, tree_e, tree_v)) % 4 == 0
+
+    try:
+        for tree in enumerate_trees(bits, smask, avail_v, avail_e, root, tick, prune):
+            events.append(("tree",) + tree)
+    except _Stop:
+        events.append("stopped")
+    return events
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=3, max_value=9),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=300)),
+)
+def test_enumeration_order_matches_reference(seed, order, stop_after):
+    """Same trees in the same order, same ticks, same prune calls."""
+    rng = random.Random(seed)
+    g = random_graph(rng, order, rng.choice([0.3, 0.45, 0.6]))
+    terminals = rng.sample(range(order), rng.randint(2, min(4, order)))
+    bits = GraphBits(g)
+    smask = mask_of(terminals)
+    avail_v = bits.all_v & ~mask_of(v for v in range(order) if rng.random() < 0.15) | smask
+    avail_e = bits.all_e & ~mask_of(e for e in range(len(g.edges)) if rng.random() < 0.15)
+    root = terminals[0]
+    assert list(iter_minimal_trees(bits, smask, avail_v, avail_e, root)) == list(
+        reference_minimal_trees(bits, smask, avail_v, avail_e, root)
+    )
+    veto = rng.randrange(1 << 30)
+    assert _events(
+        iter_minimal_trees, bits, smask, avail_v, avail_e, root, veto, stop_after
+    ) == _events(
+        reference_minimal_trees, bits, smask, avail_v, avail_e, root, veto, stop_after
+    )
 
 
 def test_classify_path_of_four_terminals():
