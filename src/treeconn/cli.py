@@ -440,9 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # RecursionError: the canonical topology code recurses once per level of
-    # the reduced tree, so a tree with a long chain of terminals outgrows the
-    # interpreter stack
+    # RecursionError: no routine recurses on the input's size any more (the
+    # enumerator keeps its own stack and the topology code is built bottom-up),
+    # so this is a last guard that turns a deep recursion into exit 1
     try:
         if hasattr(args, "budget") and args.budget is None:
             args.budget = _default_budget()

@@ -28,23 +28,25 @@ def _canonical_edges(
 ) -> tuple[tuple[int, int], ...]:
     seen: set[tuple[int, int]] = set()
     out: list[tuple[int, int]] = []
+    # every parsed graph and every Tree passes through here, so the "edge N"
+    # label is formatted only when an edge is rejected
     for pos, edge in enumerate(edges):
-        where = f"edge {pos}"
         try:
             u, v = edge
         except (TypeError, ValueError):
-            raise GraphFormatError(f"{where}: expected a pair, got {edge!r}") from None
-        u = _check_vertex_id(u, where)
-        v = _check_vertex_id(v, where)
+            raise GraphFormatError(f"edge {pos}: expected a pair, got {edge!r}") from None
+        if type(u) is not int or type(v) is not int:
+            u = _check_vertex_id(u, f"edge {pos}")
+            v = _check_vertex_id(v, f"edge {pos}")
         if u == v:
-            raise GraphFormatError(f"{where}: self-loop ({u},{v})")
+            raise GraphFormatError(f"edge {pos}: self-loop ({u},{v})")
         if not (0 <= u < order and 0 <= v < order):
             raise GraphFormatError(
-                f"{where}: endpoint out of range for order {order}: ({u},{v})"
+                f"edge {pos}: endpoint out of range for order {order}: ({u},{v})"
             )
         key = (u, v) if u < v else (v, u)
         if key in seen:
-            raise GraphFormatError(f"{where}: duplicate edge {key}")
+            raise GraphFormatError(f"edge {pos}: duplicate edge {key}")
         seen.add(key)
         out.append(key)
     return tuple(sorted(out))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .graph import Graph, TerminalSet
-from .certificates import Tree
+from .certificates import Tree, _is_tree
 
 
 class GraphBits:
@@ -288,30 +288,67 @@ class ReducedTopology:
 
     Terminals all carry one shared marker, so trees that differ only by
     which terminal sits where get the same code; anonymous branch vertices
-    are interchangeable likewise.
+    are interchangeable likewise.  The code is the reduced tree written
+    out from its centre (the lesser string when it has two), so a tree is
+    rooted at most twice, not at every vertex, and with no recursion.
     """
 
     code: str
 
 
 def _reduced_code(adj: dict[int, list[int]], terminal_ids: frozenset[int]) -> str:
+    """Canonical string of a tree given by its adjacency lists.
+
+    Non-terminals of degree 2 are suppressed first.  The reduced tree is
+    then rooted at each of its one or two centres, found by peeling leaves
+    layer by layer, and written bottom-up over a breadth-first order: a
+    vertex is `T` (terminal) or `*`, followed by its children's codes,
+    sorted, in parentheses.  The lesser of the one or two strings is the
+    code.  Isomorphisms map centres to centres, so two trees get equal
+    codes exactly when they are isomorphic with terminals onto terminals,
+    the same partition as taking the least string over every root.
+    """
     # suppress non-terminal vertices of degree 2; in a tree this changes no
     # other vertex's degree, so one pass finds them all
-    adj = {v: sorted(nb) for v, nb in adj.items()}
-    for v in sorted(adj):
+    adj = {v: list(nb) for v, nb in adj.items()}
+    for v in list(adj):
         if v not in terminal_ids and len(adj[v]) == 2:
             a, b = adj.pop(v)
             adj[a].remove(v)
             adj[b].remove(v)
             adj[a].append(b)
             adj[b].append(a)
-
-    def rooted(v: int, parent: int | None) -> str:
-        label = "T" if v in terminal_ids else "*"
-        kids = sorted(rooted(w, v) for w in adj[v] if w != parent)
-        return label + "(" + ",".join(kids) + ")"
-
-    return min(rooted(v, None) for v in sorted(adj))
+    # peel leaves until one vertex or one edge is left: the centres
+    degree = {v: len(nb) for v, nb in adj.items()}
+    layer = [v for v, d in degree.items() if d <= 1]
+    left = len(adj)
+    while left > 2:
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    peeled.append(w)
+        layer = peeled
+    codes = []
+    for root in layer:
+        order = [root]
+        parent = {root: None}
+        for v in order:
+            for w in adj[v]:
+                if w != parent[v]:
+                    parent[w] = v
+                    order.append(w)
+        kids: dict[int, list[str]] = {v: [] for v in order}
+        for v in reversed(order):
+            below = kids[v]
+            below.sort()
+            code = ("T(" if v in terminal_ids else "*(") + ",".join(below) + ")"
+            if v != root:
+                kids[parent[v]].append(code)
+        codes.append(code)
+    return min(codes)
 
 
 def classify_topology(tree: Tree, terminals: TerminalSet | list[int]) -> ReducedTopology:
@@ -324,26 +361,13 @@ def classify_topology(tree: Tree, terminals: TerminalSet | list[int]) -> Reduced
     vset = tree.vertex_set
     if sset - vset:
         raise ValueError(f"tree does not contain terminals {sorted(sset - vset)}")
-    problem = None
-    if len(tree.edges) != len(tree.vertices) - 1:
-        problem = "edge count"
+    problem = _is_tree(tree)
+    if problem is not None:
+        raise ValueError(f"not a tree ({problem})")
     adj: dict[int, list[int]] = {v: [] for v in tree.vertices}
     for u, v in tree.edges:
         adj[u].append(v)
         adj[v].append(u)
-    if problem is None:
-        seen = {tree.vertices[0]}
-        stack = [tree.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(tree.vertices):
-            problem = "disconnected"
-    if problem is not None:
-        raise ValueError(f"not a tree ({problem})")
     for v, nb in adj.items():
         if len(nb) <= 1 and v not in sset:
             raise ValueError(f"non-terminal leaf {v}")

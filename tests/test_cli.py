@@ -251,6 +251,19 @@ def test_deep_recursion_is_an_error_not_a_traceback(tmp_path, capsys):
     assert obj["trees"] == 1 and obj["classes"] == {"T(T())": 1}
 
 
+def test_classify_long_terminal_chain(tmp_path, capsys):
+    # the topology code is built without recursion, so a reduced tree of
+    # 1,200 levels is classified
+    path = tmp_path / "p1200.json"
+    path.write_text(serialize_graph(path_graph(1200)))
+    terminals = ",".join(map(str, range(1200)))
+    assert main(["classify", "--graph", str(path), "--terminals", terminals, "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["trees"] == 1 and obj["distinct"] == 1
+    (code,) = obj["classes"]
+    assert code.count("T") == 1200 and code.startswith("T(T(T(")
+
+
 def test_recursion_error_exits_one(p3_file, monkeypatch, capsys):
     def deep(*args):
         raise RecursionError("maximum recursion depth exceeded")

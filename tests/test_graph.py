@@ -61,6 +61,23 @@ def test_labels_must_be_unique():
         Graph(2, (), ("a", "a"))
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ("[[0,1],[2]]", "edge 1: expected a pair, got [2]"),
+        ("[[0,1],[1,2],[true,2]]", "edge 2: vertex id must be an integer, got True"),
+        ('[[0,"1"]]', "edge 0: vertex id must be an integer, got '1'"),
+        ("[[0,1],[2,2]]", "edge 1: self-loop (2,2)"),
+        ("[[0,3]]", "edge 0: endpoint out of range for order 3: (0,3)"),
+        ("[[0,1],[1,2],[2,1]]", "edge 2: duplicate edge (1, 2)"),
+    ],
+)
+def test_edge_error_messages_are_exact(edges, message):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph('{"order":3, "edges":' + edges + "}")
+    assert str(exc.value) == message
+
+
 def test_edges_are_canonicalized():
     g = Graph(3, ((2, 1), (1, 0)))
     assert g.edges == ((0, 1), (1, 2))

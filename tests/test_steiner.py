@@ -23,6 +23,7 @@ from treeconn.steiner import (
     GraphBits,
     _growth_feasible,
     _nonterminal_degree_ok,
+    _reduced_code,
     iter_minimal_trees,
     mask_of,
 )
@@ -203,6 +204,119 @@ def test_enumeration_order_matches_reference(seed, order, stop_after):
     ) == _events(
         reference_minimal_trees, bits, smask, avail_v, avail_e, root, veto, stop_after
     )
+
+
+def _suppressed(adj: dict[int, list[int]], terminal_ids: frozenset[int]) -> dict[int, list[int]]:
+    adj = {v: sorted(nb) for v, nb in adj.items()}
+    for v in sorted(adj):
+        if v not in terminal_ids and len(adj[v]) == 2:
+            a, b = adj.pop(v)
+            adj[a].remove(v)
+            adj[b].remove(v)
+            adj[a].append(b)
+            adj[b].append(a)
+    return adj
+
+
+def _centre_count(adj: dict[int, list[int]]) -> int:
+    """1 or 2: the parity of the tree's diameter, found by two sweeps."""
+
+    def farthest(start: int) -> tuple[int, int]:
+        depth = {start: 0}
+        queue = [start]
+        for v in queue:
+            for w in adj[v]:
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    queue.append(w)
+        return queue[-1], depth[queue[-1]]
+
+    end, _ = farthest(next(iter(adj)))
+    return 1 + farthest(end)[1] % 2
+
+
+def reference_reduced_code(adj: dict[int, list[int]], terminal_ids: frozenset[int]) -> str:
+    """The topology code as a recursion: the least string over every root.
+    `_reduced_code` roots only at the centres, so some strings differ, but
+    two trees must get equal codes under one exactly when they do under
+    the other."""
+    adj = _suppressed(adj, terminal_ids)
+
+    def rooted(v: int, parent: int | None) -> str:
+        label = "T" if v in terminal_ids else "*"
+        kids = sorted(rooted(w, v) for w in adj[v] if w != parent)
+        return label + "(" + ",".join(kids) + ")"
+
+    return min(rooted(v, None) for v in sorted(adj))
+
+
+def _adjacency(edges) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
+
+
+def _random_steiner_tree(rng: random.Random) -> tuple[list[tuple[int, int]], frozenset[int]]:
+    """A random labelled tree of order 2-14 whose leaves are all terminals,
+    with some interior terminals and randomly numbered vertices."""
+    order = rng.randint(2, 14)
+    labels = rng.sample(range(40), order)
+    edges = [(labels[rng.randrange(i)], labels[i]) for i in range(1, order)]
+    adj = _adjacency(edges)
+    share = rng.choice([0.0, 0.2, 0.5])
+    terminals = frozenset(v for v, nb in adj.items() if len(nb) == 1 or rng.random() < share)
+    return edges, terminals
+
+
+def _relabelled(rng: random.Random, edges, terminals):
+    vertices = sorted({v for e in edges for v in e})
+    perm = dict(zip(vertices, rng.sample(range(100), len(vertices))))
+    moved = [(perm[u], perm[v]) for u, v in edges]
+    rng.shuffle(moved)
+    return moved, frozenset(perm[v] for v in terminals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_reduced_code_partition_matches_reference(seed):
+    """Equal codes exactly when the reference codes are equal, and a code
+    that does not depend on how the vertices are numbered or on
+    subdivided edges."""
+    rng = random.Random(seed)
+    new_of_ref: dict[str, str] = {}
+    ref_of_new: dict[str, str] = {}
+    centres = set()
+    for _ in range(30):
+        edges, terminals = _random_steiner_tree(rng)
+        new = _reduced_code(_adjacency(edges), terminals)
+        ref = reference_reduced_code(_adjacency(edges), terminals)
+        assert new_of_ref.setdefault(ref, new) == new
+        assert ref_of_new.setdefault(new, ref) == ref
+        moved, moved_terminals = _relabelled(rng, edges, terminals)
+        assert _reduced_code(_adjacency(moved), moved_terminals) == new
+        # a subdivided edge reduces away
+        u, v = edge = rng.choice(edges)
+        longer = [e for e in edges if e != edge] + [(u, 100), (100, v)]
+        assert _reduced_code(_adjacency(longer), terminals) == new
+        centres.add(_centre_count(_suppressed(_adjacency(edges), terminals)))
+    assert centres == {1, 2}
+
+
+def test_reduced_code_even_path_and_star():
+    # an even path of terminals has two centres, written the same way
+    path = [(v, v + 1) for v in range(5)]
+    assert _reduced_code(_adjacency(path), frozenset(range(6))) == "T(T(T()),T(T(T())))"
+    star = [(4, 0), (4, 1), (4, 2), (4, 3)]
+    code = "*(T(),T(),T(),T())"
+    assert _reduced_code(_adjacency(star), frozenset(range(4))) == code
+    assert reference_reduced_code(_adjacency(star), frozenset(range(4))) == code
+    # two unlike centres, * and T: the code must not depend on which is
+    # found first
+    terminals = frozenset({1, 2, 3, 4})
+    for tree in ([(0, 2), (0, 3), (0, 1), (1, 4)], [(1, 4), (0, 1), (0, 2), (0, 3)]):
+        assert _reduced_code(_adjacency(tree), terminals) == "*(T(),T(),T(T()))"
 
 
 def test_classify_path_of_four_terminals():
