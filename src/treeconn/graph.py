@@ -17,8 +17,12 @@ class GraphFormatError(ValueError):
     """A serialized graph or instance payload is malformed."""
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_vertex_id(value: object, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise GraphFormatError(f"{where}: vertex id must be an integer, got {value!r}")
     return value
 
@@ -61,7 +65,7 @@ class Graph:
     labels: tuple[str | None, ...] | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.order, bool) or not isinstance(self.order, int):
+        if not _is_int(self.order):
             raise GraphFormatError(f"order must be an integer, got {self.order!r}")
         if self.order < 0:
             raise GraphFormatError(f"order must be non-negative, got {self.order}")
@@ -131,7 +135,7 @@ class TerminalSet:
         if len(set(members)) != len(members):
             raise ValueError(f"terminal set has repeated members: {members!r}")
         for v in members:
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            if not _is_int(v) or v < 0:
                 raise ValueError(f"invalid terminal id {v!r}")
         object.__setattr__(self, "members", members)
 

@@ -20,14 +20,11 @@ from .graph import (
     GraphFormatError,
     TerminalSet,
     _check_vertex_id,
+    _is_int,
     graph_from_obj,
     graph_to_obj,
     load_json,
 )
-
-
-def _is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # ---------------------------------------------------------------------------

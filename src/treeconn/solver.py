@@ -511,7 +511,7 @@ def _minimal_trees_by_subsets(bits: GraphBits, smask: int) -> list[tuple[int, in
                 return
             for nxt in range(pos, len(inner)):
                 e = inner[nxt]
-                a, b = index[bits.eu[e]], index[bits.ev[e]]
+                a, b = (index[x] for x in bits.edges[e])
                 if comp[a] == comp[b]:
                     continue
                 merged = tuple(

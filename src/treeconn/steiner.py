@@ -12,8 +12,9 @@ are plain ints, which keeps the inner loops allocation-free.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .graph import Graph, TerminalSet
 from .certificates import Tree, _is_tree
@@ -22,18 +23,14 @@ from .certificates import Tree, _is_tree
 class GraphBits:
     """Bitmask view of a graph for the combinatorial search routines."""
 
-    __slots__ = ("order", "edges", "eu", "ev", "einc", "evmask", "all_v", "all_e")
+    __slots__ = ("order", "edges", "einc", "evmask", "all_v", "all_e")
 
     def __init__(self, graph: Graph):
         self.order = graph.order
         self.edges = graph.edges
-        self.eu: list[int] = []
-        self.ev: list[int] = []
         self.einc = [0] * graph.order
         self.evmask: list[int] = []
         for i, (u, v) in enumerate(graph.edges):
-            self.eu.append(u)
-            self.ev.append(v)
             bit = 1 << i
             self.einc[u] |= bit
             self.einc[v] |= bit
@@ -182,53 +179,41 @@ def extract_steiner_tree(
 ) -> tuple[int, int] | None:
     """Deterministically pick one minimal Steiner tree, or None if S is split.
 
-    Breadth-first spanning tree from the root (lowest edge index first),
-    then repeated removal of non-terminal leaves.
+    `root` must be a terminal (the solver's anchor).  The tree is the union
+    of the paths back to the root from each terminal in a breadth-first
+    search (lowest edge index first) that stops once all are reached.
     """
     rootbit = 1 << root
     if not rootbit & avail_v or smask & ~avail_v:
         return None
+    einc = bits.einc
+    evmask = bits.evmask
+    up: dict[int, int] = {}
     visited = rootbit
     queue = [root]
-    tree_edges: list[int] = []
-    einc = bits.einc
-    eu, ev = bits.eu, bits.ev
-    while queue:
-        nxt: list[int] = []
-        for v in queue:
-            ee = einc[v] & avail_e
-            while ee:
-                low = ee & -ee
-                ee ^= low
-                e = low.bit_length() - 1
-                w = ev[e] if eu[e] == v else eu[e]
-                wbit = 1 << w
-                if not wbit & avail_v or wbit & visited:
-                    continue
+    for v in queue:
+        if not smask & ~visited:
+            break
+        ee = einc[v] & avail_e
+        while ee:
+            low = ee & -ee
+            ee ^= low
+            wbit = evmask[low.bit_length() - 1] & avail_v & ~visited
+            if wbit:
                 visited |= wbit
-                tree_edges.append(e)
-                nxt.append(w)
-        queue = nxt
+                w = wbit.bit_length() - 1
+                up[w] = low
+                queue.append(w)
     if smask & ~visited:
         return None
-    tree_e = 0
-    for e in tree_edges:
-        tree_e |= 1 << e
-    tree_v = visited
-    # prune hanging non-terminal branches
-    changed = True
-    while changed:
-        changed = False
-        work = tree_v & ~smask
-        while work:
-            low = work & -work
-            work ^= low
-            v = low.bit_length() - 1
-            inc = einc[v] & tree_e
-            if inc.bit_count() <= 1:
-                tree_v ^= low
-                tree_e &= ~inc
-                changed = True
+    tree_e, tree_v = 0, rootbit
+    while smask & ~tree_v:
+        vbit = 1 << ((smask & ~tree_v).bit_length() - 1)
+        while not vbit & tree_v:
+            tree_v |= vbit
+            ebit = up[vbit.bit_length() - 1]
+            tree_e |= ebit
+            vbit ^= evmask[ebit.bit_length() - 1]
     return (tree_e, tree_v)
 
 
@@ -265,21 +250,15 @@ def enumerate_steiner_trees(
     terminals.validate_in(graph)
     bits = GraphBits(graph)
     smask = mask_of(terminals.members)
-    found: list[tuple[int, int]] = []
-    truncated = False
-    for item in iter_minimal_trees(
-        bits, smask, bits.all_v, bits.all_e, terminals.members[0]
-    ):
-        if len(found) == limit:
-            truncated = True
-            break
-        found.append(item)
-    keyed = sorted(
-        ((tree_e.bit_count(), tuple(iter_bits(tree_e))), tree_e, tree_v)
-        for tree_e, tree_v in found
+    found = list(itertools.islice(
+        iter_minimal_trees(bits, smask, bits.all_v, bits.all_e, terminals.members[0]),
+        limit + 1,
+    ))
+    trees = sorted(
+        (tree_from_masks(bits, tree_e, tree_v) for tree_e, tree_v in found[:limit]),
+        key=lambda t: (len(t.edges), t.edges),
     )
-    trees = tuple(tree_from_masks(bits, tree_e, tree_v) for _, tree_e, tree_v in keyed)
-    return EnumerationResult(trees, truncated)
+    return EnumerationResult(tuple(trees), len(found) > limit)
 
 
 @dataclass(frozen=True)
@@ -296,8 +275,8 @@ class ReducedTopology:
     code: str
 
 
-def _reduced_code(adj: dict[int, list[int]], terminal_ids: frozenset[int]) -> str:
-    """Canonical string of a tree given by its adjacency lists.
+def _reduced_code(edges: Iterable[tuple[int, int]], terminal_ids: frozenset[int]) -> str:
+    """Canonical string of a tree given by its edges.
 
     Non-terminals of degree 2 are suppressed first.  The reduced tree is
     then rooted at each of its one or two centres, found by peeling leaves
@@ -306,11 +285,15 @@ def _reduced_code(adj: dict[int, list[int]], terminal_ids: frozenset[int]) -> st
     sorted, in parentheses.  The lesser of the one or two strings is the
     code.  Isomorphisms map centres to centres, so two trees get equal
     codes exactly when they are isomorphic with terminals onto terminals,
-    the same partition as taking the least string over every root.
+    the same partition as taking the least string over every root.  A
+    non-terminal leaf raises ValueError naming the least one.
     """
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
     # suppress non-terminal vertices of degree 2; in a tree this changes no
-    # other vertex's degree, so one pass finds them all
-    adj = {v: list(nb) for v, nb in adj.items()}
+    # other vertex's degree, so one pass finds them all and no leaf changes
     for v in list(adj):
         if v not in terminal_ids and len(adj[v]) == 2:
             a, b = adj.pop(v)
@@ -321,6 +304,9 @@ def _reduced_code(adj: dict[int, list[int]], terminal_ids: frozenset[int]) -> st
     # peel leaves until one vertex or one edge is left: the centres
     degree = {v: len(nb) for v, nb in adj.items()}
     layer = [v for v, d in degree.items() if d <= 1]
+    stray = [v for v in layer if v not in terminal_ids]
+    if stray:
+        raise ValueError(f"non-terminal leaf {min(stray)}")
     left = len(adj)
     while left > 2:
         left -= len(layer)
@@ -364,14 +350,7 @@ def classify_topology(tree: Tree, terminals: TerminalSet | list[int]) -> Reduced
     problem = _is_tree(tree)
     if problem is not None:
         raise ValueError(f"not a tree ({problem})")
-    adj: dict[int, list[int]] = {v: [] for v in tree.vertices}
-    for u, v in tree.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v, nb in adj.items():
-        if len(nb) <= 1 and v not in sset:
-            raise ValueError(f"non-terminal leaf {v}")
-    return ReducedTopology(_reduced_code(adj, sset))
+    return ReducedTopology(_reduced_code(tree.edges, sset))
 
 
 def count_topologies(graph: Graph, terminals: TerminalSet | list[int]) -> int:
@@ -381,14 +360,9 @@ def count_topologies(graph: Graph, terminals: TerminalSet | list[int]) -> int:
     bits = GraphBits(graph)
     smask = mask_of(terminals.members)
     sset = frozenset(terminals.members)
-    codes: set[str] = set()
-    for tree_e, tree_v in iter_minimal_trees(
-        bits, smask, bits.all_v, bits.all_e, terminals.members[0]
-    ):
-        adj: dict[int, list[int]] = {v: [] for v in iter_bits(tree_v)}
-        for e in iter_bits(tree_e):
-            u, v = bits.eu[e], bits.ev[e]
-            adj[u].append(v)
-            adj[v].append(u)
-        codes.add(_reduced_code(adj, sset))
-    return len(codes)
+    return len({
+        _reduced_code([bits.edges[e] for e in iter_bits(tree_e)], sset)
+        for tree_e, _ in iter_minimal_trees(
+            bits, smask, bits.all_v, bits.all_e, terminals.members[0]
+        )
+    })

@@ -44,7 +44,7 @@ def reference_flow(
             add(2 * v, 2 * v + 1, _INF if smask >> v & 1 else 1)
     for e in range(len(bits.edges)):
         if avail_e >> e & 1:
-            u, v = bits.eu[e], bits.ev[e]
+            u, v = bits.edges[e]
             add(2 * u + 1, 2 * v, 1)
             add(2 * v + 1, 2 * u, 1)
 

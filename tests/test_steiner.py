@@ -24,6 +24,7 @@ from treeconn.steiner import (
     _growth_feasible,
     _nonterminal_degree_ok,
     _reduced_code,
+    extract_steiner_tree,
     iter_minimal_trees,
     mask_of,
 )
@@ -85,6 +86,60 @@ def reference_minimal_trees(
             yield from rec(tree_e, tree_v, excl2, frontier & ~bit)
 
     yield from rec(0, rootbit, 0, einc[root] & avail_e)
+
+
+def reference_extract_steiner_tree(
+    bits: GraphBits, smask: int, avail_v: int, avail_e: int, root: int
+) -> tuple[int, int] | None:
+    """The extractor as a whole breadth-first spanning tree, then repeated
+    removal of non-terminal leaves.  `extract_steiner_tree` stops the
+    search once every terminal is reached and keeps only the paths back
+    to the root; for a terminal root the two must agree."""
+    rootbit = 1 << root
+    if not rootbit & avail_v or smask & ~avail_v:
+        return None
+    visited = rootbit
+    queue = [root]
+    tree_edges: list[int] = []
+    einc = bits.einc
+    while queue:
+        nxt: list[int] = []
+        for v in queue:
+            ee = einc[v] & avail_e
+            while ee:
+                low = ee & -ee
+                ee ^= low
+                e = low.bit_length() - 1
+                a, b = bits.edges[e]
+                w = b if a == v else a
+                wbit = 1 << w
+                if not wbit & avail_v or wbit & visited:
+                    continue
+                visited |= wbit
+                tree_edges.append(e)
+                nxt.append(w)
+        queue = nxt
+    if smask & ~visited:
+        return None
+    tree_e = 0
+    for e in tree_edges:
+        tree_e |= 1 << e
+    tree_v = visited
+    # prune hanging non-terminal branches
+    changed = True
+    while changed:
+        changed = False
+        work = tree_v & ~smask
+        while work:
+            low = work & -work
+            work ^= low
+            v = low.bit_length() - 1
+            inc = einc[v] & tree_e
+            if inc.bit_count() <= 1:
+                tree_v ^= low
+                tree_e &= ~inc
+                changed = True
+    return (tree_e, tree_v)
 
 
 def test_path_has_single_tree():
@@ -206,6 +261,28 @@ def test_enumeration_order_matches_reference(seed, order, stop_after):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_extract_matches_reference(seed):
+    """The same tree, or None, as the whole search tree trimmed of its
+    non-terminal leaves, under random vertex and edge availability."""
+    rng = random.Random(seed)
+    order = rng.randint(2, 14)
+    g = random_graph(rng, order, rng.uniform(0.2, 0.8))
+    terminals = rng.sample(range(order), rng.randint(2, min(6, order)))
+    bits = GraphBits(g)
+    smask = mask_of(terminals)
+    for _ in range(20):
+        # a terminal may be unavailable too
+        keep_v, keep_e = rng.choice([0.7, 0.9, 1.0]), rng.choice([0.6, 0.8, 1.0])
+        avail_v = mask_of(v for v in range(order) if rng.random() < keep_v)
+        avail_e = mask_of(e for e in range(len(g.edges)) if rng.random() < keep_e)
+        root = rng.choice(terminals)
+        assert extract_steiner_tree(
+            bits, smask, avail_v, avail_e, root
+        ) == reference_extract_steiner_tree(bits, smask, avail_v, avail_e, root)
+
+
 def _suppressed(adj: dict[int, list[int]], terminal_ids: frozenset[int]) -> dict[int, list[int]]:
     adj = {v: sorted(nb) for v, nb in adj.items()}
     for v in sorted(adj):
@@ -290,16 +367,16 @@ def test_reduced_code_partition_matches_reference(seed):
     centres = set()
     for _ in range(30):
         edges, terminals = _random_steiner_tree(rng)
-        new = _reduced_code(_adjacency(edges), terminals)
+        new = _reduced_code(edges, terminals)
         ref = reference_reduced_code(_adjacency(edges), terminals)
         assert new_of_ref.setdefault(ref, new) == new
         assert ref_of_new.setdefault(new, ref) == ref
         moved, moved_terminals = _relabelled(rng, edges, terminals)
-        assert _reduced_code(_adjacency(moved), moved_terminals) == new
+        assert _reduced_code(moved, moved_terminals) == new
         # a subdivided edge reduces away
         u, v = edge = rng.choice(edges)
         longer = [e for e in edges if e != edge] + [(u, 100), (100, v)]
-        assert _reduced_code(_adjacency(longer), terminals) == new
+        assert _reduced_code(longer, terminals) == new
         centres.add(_centre_count(_suppressed(_adjacency(edges), terminals)))
     assert centres == {1, 2}
 
@@ -307,16 +384,16 @@ def test_reduced_code_partition_matches_reference(seed):
 def test_reduced_code_even_path_and_star():
     # an even path of terminals has two centres, written the same way
     path = [(v, v + 1) for v in range(5)]
-    assert _reduced_code(_adjacency(path), frozenset(range(6))) == "T(T(T()),T(T(T())))"
+    assert _reduced_code(path, frozenset(range(6))) == "T(T(T()),T(T(T())))"
     star = [(4, 0), (4, 1), (4, 2), (4, 3)]
     code = "*(T(),T(),T(),T())"
-    assert _reduced_code(_adjacency(star), frozenset(range(4))) == code
+    assert _reduced_code(star, frozenset(range(4))) == code
     assert reference_reduced_code(_adjacency(star), frozenset(range(4))) == code
     # two unlike centres, * and T: the code must not depend on which is
     # found first
     terminals = frozenset({1, 2, 3, 4})
     for tree in ([(0, 2), (0, 3), (0, 1), (1, 4)], [(1, 4), (0, 1), (0, 2), (0, 3)]):
-        assert _reduced_code(_adjacency(tree), terminals) == "*(T(),T(),T(T()))"
+        assert _reduced_code(tree, terminals) == "*(T(),T(),T(T()))"
 
 
 def test_classify_path_of_four_terminals():
@@ -363,6 +440,29 @@ def test_classify_rejects_non_terminal_leaf():
     t = Tree((0, 1, 2), ((0, 1), (1, 2)))
     with pytest.raises(ValueError, match="non-terminal leaf"):
         classify_topology(t, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "tree, terminals, message",
+    [
+        (Tree((0, 1, 2), ((0, 1), (1, 2))), (0, 1), "non-terminal leaf 2"),
+        (
+            Tree((0, 1, 7, 9), ((0, 1), (1, 7), (0, 9))),
+            (0, 1),
+            "non-terminal leaf 7",
+        ),
+        (
+            Tree((0, 1, 2), ((0, 1), (1, 2), (0, 2))),
+            (0, 1, 2),
+            "not a tree (has 3 edges on 3 vertices, not a tree)",
+        ),
+        (Tree((0, 1), ((0, 1),)), (0, 1, 5, 6), "tree does not contain terminals [5, 6]"),
+    ],
+)
+def test_classify_error_messages_are_exact(tree, terminals, message):
+    with pytest.raises(ValueError) as err:
+        classify_topology(tree, terminals)
+    assert str(err.value) == message
 
 
 def test_classify_rejects_non_tree():
