@@ -57,12 +57,10 @@ def random_3dm(rng: random.Random, n: int, m: int) -> ThreeDMInstance:
     return ThreeDMInstance(n, triples)
 
 
-def random_cnf(
-    rng: random.Random, num_vars: int, num_clauses: int, clause_size: int = 3
-) -> CnfFormula:
+def random_cnf(rng: random.Random, num_vars: int, num_clauses: int) -> CnfFormula:
     if num_vars < 1:
         raise ValueError("num_vars must be >= 1")
-    size = min(clause_size, num_vars)
+    size = min(3, num_vars)
     clauses = []
     for _ in range(num_clauses):
         variables = rng.sample(range(1, num_vars + 1), size)

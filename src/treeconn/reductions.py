@@ -352,23 +352,14 @@ def trees_to_matching(inst: ThreeDMInstance, cert: TreeCertificate) -> Matching:
     return matching
 
 
-def solve_3dm_brute(
-    inst: ThreeDMInstance, n_cap: int = 6, m_cap: int = 20
-) -> Matching | None:
+def solve_3dm_brute(inst: ThreeDMInstance) -> Matching | None:
     """Exhaustive search over n-subsets of triples; oracle for small instances."""
-    if inst.n > n_cap or inst.m > m_cap:
-        raise ValueError(
-            f"instance size (n={inst.n}, m={inst.m}) exceeds caps ({n_cap}, {m_cap})"
-        )
+    if inst.n > 6 or inst.m > 20:
+        raise ValueError(f"instance size (n={inst.n}, m={inst.m}) exceeds caps (6, 20)")
     for combo in itertools.combinations(range(inst.m), inst.n):
-        ok = True
-        for axis in range(3):
-            seen = {inst.triples[i][axis] for i in combo}
-            if len(seen) != inst.n:
-                ok = False
-                break
-        if ok:
-            return Matching(frozenset(combo))
+        matching = Matching(frozenset(combo))
+        if matching_is_perfect(inst, matching):
+            return matching
     return None
 
 
@@ -546,10 +537,10 @@ def trees_to_assignment(phi: CnfFormula, cert: TreeCertificate) -> Assignment:
     return assignment
 
 
-def solve_sat_brute(phi: CnfFormula, var_cap: int = 20) -> Assignment | None:
+def solve_sat_brute(phi: CnfFormula) -> Assignment | None:
     """Backtracking satisfiability witness search; False is tried before True."""
-    if phi.num_vars > var_cap:
-        raise ValueError(f"num_vars {phi.num_vars} exceeds cap {var_cap}")
+    if phi.num_vars > 20:
+        raise ValueError(f"num_vars {phi.num_vars} exceeds cap 20")
     clauses = [list(c) for c in phi.clauses]
     values: list[bool] = []
 

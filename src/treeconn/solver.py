@@ -544,10 +544,10 @@ def _max_packing(cands: list[tuple[int, int]], smask: int) -> int:
     return best
 
 
-def brute_force_kappa(graph: Graph, terminals, order_cap: int = 9) -> int:
+def brute_force_kappa(graph: Graph, terminals) -> int:
     """kappa(S) by exhaustive enumeration; ground truth for small graphs."""
-    if graph.order > order_cap:
-        raise ValueError(f"order {graph.order} exceeds brute-force cap {order_cap}")
+    if graph.order > 9:
+        raise ValueError(f"order {graph.order} exceeds brute-force cap 9")
     terminals = TerminalSet.of(terminals)
     terminals.validate_in(graph)
     bits = GraphBits(graph)

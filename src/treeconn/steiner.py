@@ -76,36 +76,6 @@ def reaches(bits: GraphBits, comp: int, target: int, avail_v: int, avail_e: int)
     return True
 
 
-def _nonterminal_degree_ok(bits: GraphBits, tree_e: int, tree_v: int, smask: int) -> bool:
-    """Every non-terminal tree vertex must have tree-degree >= 2 (leaves in S)."""
-    work = tree_v & ~smask
-    einc = bits.einc
-    while work:
-        low = work & -work
-        work ^= low
-        if (einc[low.bit_length() - 1] & tree_e).bit_count() < 2:
-            return False
-    return True
-
-
-def _growth_feasible(
-    bits: GraphBits, smask: int, avail_v: int, usable_e: int, tree_e: int, tree_v: int
-) -> bool:
-    """Can the partial tree still reach every terminal and fix its bad leaves?"""
-    einc = bits.einc
-    # every current non-terminal leaf needs a spare edge to grow through
-    work = tree_v & ~smask
-    while work:
-        low = work & -work
-        work ^= low
-        v = low.bit_length() - 1
-        inc = einc[v]
-        if (inc & tree_e).bit_count() == 1 and not inc & usable_e & ~tree_e:
-            return False
-    # remaining terminals must be reachable from the tree
-    return reaches(bits, tree_v, smask, avail_v, usable_e)
-
-
 def iter_minimal_trees(
     bits: GraphBits,
     smask: int,
@@ -120,7 +90,11 @@ def iter_minimal_trees(
     Trees come out as (edge_mask, vertex_mask) in a deterministic
     depth-first discovery order: at each step the lowest-indexed frontier
     edge is first included, then excluded, so each edge set is produced
-    exactly once.  `prune(tree_e, tree_v)` may veto a partial tree and all
+    exactly once.  `root` must be a terminal.  Each search node carries
+    the mask of its non-terminal leaves, and every one of them keeps a
+    spare edge (available, not excluded, not in the tree) to grow
+    through; a node is complete once it holds every terminal and has no
+    such leaf.  `prune(tree_e, tree_v)` may veto a partial tree and all
     of its extensions (used by the packing search to apply remaining-tree
     bounds).  `tick` charges one budget unit per search node.
     """
@@ -129,18 +103,17 @@ def iter_minimal_trees(
         return
     einc = bits.einc
     evmask = bits.evmask
-    # (tree_e, tree_v, excl, frontier, check): a search node; `check` marks
-    # an exclude branch, whose completability is tested only when popped
-    stack = [(0, rootbit, 0, einc[root] & avail_e, False)]
+    # (tree_e, tree_v, excl, frontier, leaves, check): a search node; `check`
+    # marks an exclude branch, whose reach to the terminals is tested only
+    # when popped
+    stack = [(0, rootbit, 0, einc[root] & avail_e, 0, False)]
     while stack:
-        tree_e, tree_v, excl, frontier, check = stack.pop()
-        if check and not _growth_feasible(
-            bits, smask, avail_v, avail_e & ~excl, tree_e, tree_v
-        ):
+        tree_e, tree_v, excl, frontier, leaves, check = stack.pop()
+        if check and not reaches(bits, tree_v, smask, avail_v, avail_e & ~excl):
             continue
         if tick is not None:
             tick()
-        if not smask & ~tree_v and _nonterminal_degree_ok(bits, tree_e, tree_v, smask):
+        if not leaves and not smask & ~tree_v:
             # complete: no strict supertree can be minimal, stop growing
             yield (tree_e, tree_v)
             continue
@@ -159,8 +132,11 @@ def iter_minimal_trees(
         if cand < 0:
             continue
         bit = 1 << cand
-        # exclude goes under include, so it is explored after include's subtree
-        stack.append((tree_e, tree_v, excl | bit, frontier & ~bit, True))
+        vbit = evmask[cand] & tree_v
+        # exclude goes under include, so it is explored after include's
+        # subtree; it can only take the last spare edge of the tree end
+        if not leaves & vbit or einc[vbit.bit_length() - 1] & avail_e & ~excl & ~bit & ~tree_e:
+            stack.append((tree_e, tree_v, excl | bit, frontier & ~bit, leaves, True))
         wmask = evmask[cand] & ~tree_v
         w = wmask.bit_length() - 1
         # include: the new vertex, if non-terminal, must be fixable later
@@ -169,9 +145,10 @@ def iter_minimal_trees(
         if (wmask & smask or einc[w] & avail_e & ~excl & ~grown_e) and (
             prune is None or not prune(grown_e, grown_v)
         ):
-            stack.append(
-                (grown_e, grown_v, excl, (frontier | (einc[w] & avail_e)) & ~grown_e, False)
-            )
+            stack.append((
+                grown_e, grown_v, excl, (frontier | (einc[w] & avail_e)) & ~grown_e,
+                leaves & ~vbit | wmask & ~smask, False,
+            ))
 
 
 def extract_steiner_tree(

@@ -159,6 +159,24 @@ def test_k6_spanning_tree_packing():
     assert kappa_set_exact(complete_graph(6), tuple(range(6))).value == 3
 
 
+def test_climb_refutes_a_level_between_greedy_and_bound():
+    # the bounds leave levels 3..5 open: the cap 5 fails, 3 packs, 4 is
+    # refuted and ends the climb
+    g = Graph(8, (
+        (0, 1), (0, 4), (0, 5), (0, 6), (0, 7), (1, 3), (1, 7), (2, 3), (2, 5),
+        (2, 6), (3, 4), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7),
+    ))
+    s = (0, 4, 5, 7)
+    bits = GraphBits(g)
+    smask = mask_of(s)
+    assert _bound(bits, smask, s, bits.all_v, bits.all_e, g.edge_count, 1) == 5
+    assert len(_greedy_packing(bits, smask, 0, 5)) == 2
+    result = kappa_set_exact(g, s)
+    assert (result.value, result.status) == (3, "exact")
+    assert brute_force_kappa(g, s) == 3
+    assert decide_kappa_at_least(g, s, 4).outcome == "refuted"
+
+
 def test_certificates_always_verify():
     rng = random.Random(4242)
     for _ in range(30):

@@ -21,13 +21,42 @@ from treeconn.generators import random_graph
 from treeconn.solver import _minimal_trees_by_subsets
 from treeconn.steiner import (
     GraphBits,
-    _growth_feasible,
-    _nonterminal_degree_ok,
     _reduced_code,
     extract_steiner_tree,
     iter_minimal_trees,
     mask_of,
+    reaches,
 )
+
+
+def _nonterminal_degree_ok(bits: GraphBits, tree_e: int, tree_v: int, smask: int) -> bool:
+    """Every non-terminal tree vertex must have tree-degree >= 2 (leaves in S)."""
+    work = tree_v & ~smask
+    einc = bits.einc
+    while work:
+        low = work & -work
+        work ^= low
+        if (einc[low.bit_length() - 1] & tree_e).bit_count() < 2:
+            return False
+    return True
+
+
+def _growth_feasible(
+    bits: GraphBits, smask: int, avail_v: int, usable_e: int, tree_e: int, tree_v: int
+) -> bool:
+    """Can the partial tree still reach every terminal and fix its bad leaves?"""
+    einc = bits.einc
+    # every current non-terminal leaf needs a spare edge to grow through
+    work = tree_v & ~smask
+    while work:
+        low = work & -work
+        work ^= low
+        v = low.bit_length() - 1
+        inc = einc[v]
+        if (inc & tree_e).bit_count() == 1 and not inc & usable_e & ~tree_e:
+            return False
+    # remaining terminals must be reachable from the tree
+    return reaches(bits, tree_v, smask, avail_v, usable_e)
 
 
 def reference_minimal_trees(
