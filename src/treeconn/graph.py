@@ -21,6 +21,14 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _decimal(token: str, signed: bool = False) -> int:
+    """int(token), but of ASCII digits only (after one '-' if `signed`)."""
+    digits = token[1:] if signed and token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def _check_vertex_id(value: object, where: str) -> int:
     if not _is_int(value):
         raise GraphFormatError(f"{where}: vertex id must be an integer, got {value!r}")
@@ -164,7 +172,7 @@ class TerminalSet:
 def parse_terminals(text: str) -> TerminalSet:
     """Parse a comma-separated terminal list, e.g. "0,2,5"."""
     try:
-        ids = tuple(int(part) for part in text.split(","))
+        ids = tuple(_decimal(part) for part in text.split(","))
     except ValueError:
         raise GraphFormatError(f"invalid terminal list {text!r}") from None
     return TerminalSet(ids)

@@ -20,6 +20,7 @@ from .graph import (
     GraphFormatError,
     TerminalSet,
     _check_vertex_id,
+    _decimal,
     _is_int,
     graph_from_obj,
     graph_to_obj,
@@ -594,17 +595,15 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise GraphFormatError(f"line {lineno}: malformed header {line!r}")
             try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
+                num_vars, num_clauses = _decimal(parts[2]), _decimal(parts[3])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: malformed header {line!r}") from None
-            if num_vars < 0 or num_clauses < 0:
-                raise GraphFormatError(f"line {lineno}: negative header counts")
             continue
         if num_vars is None:
             raise GraphFormatError(f"line {lineno}: clause before header")
         for token in line.split():
             try:
-                lit = int(token)
+                lit = _decimal(token, signed=True)
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: bad literal {token!r}") from None
             if lit == 0:

@@ -27,7 +27,8 @@ the trees are totally ordered by their lowest edge at a fixed anchor
 terminal; each slot masks anchor edges at or below the previous tree's
 minimum, which breaks permutation symmetry at no cost.  Admissible bounds
 prune the search: while a tree grows, the degree and edge terms of U and
-connectivity of S are checked on what it would leave; a finished tree's
+connectivity of S are checked on what it would leave (the last on a kept
+witness tree while the remainder holds it); a finished tree's
 remainder must also pass the flow bound (non-terminals capacity one,
 terminals uncapacitated) before the next slot is searched.  The flow is
 found by unit-capacity augmenting paths on the vertex-split graph, held as
@@ -53,7 +54,6 @@ from .steiner import (
     iter_bits,
     iter_minimal_trees,
     mask_of,
-    reaches,
     tree_from_masks,
 )
 
@@ -323,8 +323,11 @@ def _climb(
         default=None,
     )
     block_v, block_e = (0, 0) if block is None else (1 << block, einc[block])
-    first = smask & -smask
     edges_per_tree = len(terminals) - 1
+    # edges of the last Steiner tree that showed S connected in a prune's
+    # remainder; a remainder drops the edges of each vertex it drops, so one
+    # that keeps these edges keeps the whole tree
+    wit_e = -1
 
     def search(
         avail_v: int, avail_e: int, need: int, min_anchor_edge: int
@@ -343,13 +346,19 @@ def _climb(
         def prune(tree_e: int, tree_v: int) -> bool:
             """The cheap terms of `_bound` on what the tree would leave:
             `remaining` free edges at every terminal and in all, S connected."""
+            nonlocal wit_e
             rem_v, rem_e = _remainder(bits, smask, avail_v, avail_e, tree_e, tree_v)
             for s in terminals:
                 if (einc[s] & rem_e).bit_count() < remaining:
                     return True
-            return rem_e.bit_count() < remaining * edges_per_tree or not reaches(
-                bits, first, smask, rem_v, rem_e
-            )
+            if rem_e.bit_count() < remaining * edges_per_tree:
+                return True
+            if wit_e & ~rem_e:
+                witness = extract_steiner_tree(bits, smask, rem_v, rem_e, anchor)
+                if witness is None:
+                    return True
+                wit_e = witness[0]
+            return False
 
         # anchor edges at or below the previous tree's minimum belong to
         # earlier slots of the canonical ordering and are dead from here on

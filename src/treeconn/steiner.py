@@ -53,29 +53,6 @@ def mask_of(ids) -> int:
     return out
 
 
-def reaches(bits: GraphBits, comp: int, target: int, avail_v: int, avail_e: int) -> bool:
-    """True iff every vertex of `target` is in `comp` or reachable from it
-    along edges of avail_e through vertices of avail_v."""
-    einc = bits.einc
-    evmask = bits.evmask
-    frontier = comp
-    while target & ~comp:
-        if not frontier:
-            return False
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            ee = einc[low.bit_length() - 1] & avail_e
-            while ee:
-                elow = ee & -ee
-                ee ^= elow
-                nxt |= evmask[elow.bit_length() - 1]
-        frontier = nxt & avail_v & ~comp
-        comp |= frontier
-    return True
-
-
 def iter_minimal_trees(
     bits: GraphBits,
     smask: int,
@@ -94,7 +71,9 @@ def iter_minimal_trees(
     the mask of its non-terminal leaves, and every one of them keeps a
     spare edge (available, not excluded, not in the tree) to grow
     through; a node is complete once it holds every terminal and has no
-    such leaf.  `prune(tree_e, tree_v)` may veto a partial tree and all
+    such leaf.  An exclude branch must still connect S: the last Steiner
+    tree that showed this is kept, and replaced only once a branch lacks
+    part of it.  `prune(tree_e, tree_v)` may veto a partial tree and all
     of its extensions (used by the packing search to apply remaining-tree
     bounds).  `tick` charges one budget unit per search node.
     """
@@ -104,13 +83,17 @@ def iter_minimal_trees(
     einc = bits.einc
     evmask = bits.evmask
     # (tree_e, tree_v, excl, frontier, leaves, check): a search node; `check`
-    # marks an exclude branch, whose reach to the terminals is tested only
-    # when popped
+    # marks an exclude branch, tested when popped against the witness, which
+    # may hold tree vertices outside avail_v (an available edge can lead there)
     stack = [(0, rootbit, 0, einc[root] & avail_e, 0, False)]
+    wit_e, wit_v = -1, 0
     while stack:
         tree_e, tree_v, excl, frontier, leaves, check = stack.pop()
-        if check and not reaches(bits, tree_v, smask, avail_v, avail_e & ~excl):
-            continue
+        if check and (wit_e & excl or wit_v & ~avail_v & ~tree_v):
+            witness = extract_steiner_tree(bits, smask, avail_v | tree_v, avail_e & ~excl, root)
+            if witness is None:
+                continue
+            wit_e, wit_v = witness
         if tick is not None:
             tick()
         if not leaves and not smask & ~tree_v:
@@ -133,18 +116,19 @@ def iter_minimal_trees(
             continue
         bit = 1 << cand
         vbit = evmask[cand] & tree_v
-        # exclude goes under include, so it is explored after include's
-        # subtree; it can only take the last spare edge of the tree end
-        if not leaves & vbit or einc[vbit.bit_length() - 1] & avail_e & ~excl & ~bit & ~tree_e:
-            stack.append((tree_e, tree_v, excl | bit, frontier & ~bit, leaves, True))
         wmask = evmask[cand] & ~tree_v
         w = wmask.bit_length() - 1
+        spare = einc[w] & avail_e & ~excl & ~bit  # w is outside the tree, so are its edges
+        # exclude goes under include, so it is explored after include's subtree;
+        # it may take neither the tree end's last spare edge nor a terminal's last
+        if (spare or not wmask & smask) and (
+            not leaves & vbit or einc[vbit.bit_length() - 1] & avail_e & ~excl & ~bit & ~tree_e
+        ):
+            stack.append((tree_e, tree_v, excl | bit, frontier & ~bit, leaves, True))
         # include: the new vertex, if non-terminal, must be fixable later
         grown_e = tree_e | bit
         grown_v = tree_v | wmask
-        if (wmask & smask or einc[w] & avail_e & ~excl & ~grown_e) and (
-            prune is None or not prune(grown_e, grown_v)
-        ):
+        if (spare or wmask & smask) and (prune is None or not prune(grown_e, grown_v)):
             stack.append((
                 grown_e, grown_v, excl, (frontier | (einc[w] & avail_e)) & ~grown_e,
                 leaves & ~vbit | wmask & ~smask, False,

@@ -160,6 +160,13 @@ def test_terminal_set_normalizes_and_validates():
         parse_terminals("1,x")
 
 
+@pytest.mark.parametrize("text", ["0,1_0", "\u0661,2", "+1,2", " 1,2", "1,2\n", "-1,2", "1,,2", ""])
+def test_parse_terminals_takes_only_ascii_decimals(text):
+    """int() would read "0,1_0" as {0, 10} and the Arabic-Indic digit one as 1."""
+    with pytest.raises(GraphFormatError, match="invalid terminal list"):
+        parse_terminals(text)
+
+
 def test_relabel_permutes_edges_and_labels():
     g = Graph(3, ((0, 1), (1, 2)), ("a", "b", "c"))
     h = g.relabel((2, 1, 0))

@@ -182,6 +182,26 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 2 1\n1 3 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p cnf 3_0 1\n1 2 3 0\n", "malformed header"),
+        ("p cnf -3 1\n1 2 3 0\n", "malformed header"),
+        ("p cnf \u0663 1\n1 2 3 0\n", "malformed header"),
+        ("p cnf 30 1\n1_0 2 3 0\n", "bad literal '1_0'"),
+        ("p cnf 3 1\n+1 2 3 0\n", "bad literal"),
+        ("p cnf 3 1\n--1 2 3 0\n", "bad literal"),
+        ("p cnf 3 1\n- 2 3 0\n", "bad literal"),
+        ("p cnf 3 1\n1 \u0662 3 0\n", "bad literal"),
+    ],
+)
+def test_parse_dimacs_takes_only_ascii_decimals(text, message):
+    """int() would read '3_0' as 30 and '1_0' as the literal 10."""
+    with pytest.raises(GraphFormatError, match=message):
+        parse_dimacs(text)
+    assert parse_dimacs("p cnf 3 1\n-1 2 -3 0\n").clauses == ((-1, 2, -3),)
+
+
 def test_dimacs_round_trip():
     phi = CnfFormula(4, ((1, -2, 4), (-3,), (2, 3)))
     assert parse_dimacs(write_dimacs(phi)) == phi

@@ -133,6 +133,38 @@ def test_kappa_k_budget_flag():
     assert kappa_set_exact(k6, r.subset).value == r.value
 
 
+# Graphs on which the connectivity term of the packing search's prune vetoes
+# partial trees: what they would leave splits S.  A prune that missed such a
+# veto would still answer right (the next slot finds no tree), so only the
+# expansion counts show it.
+_SPLIT_BY_PRUNE = {
+    "order9": Graph(9, (
+        (0, 1), (0, 3), (0, 7), (1, 2), (1, 3), (1, 4), (1, 5), (1, 8), (2, 5), (2, 6),
+        (2, 7), (3, 4), (3, 6), (3, 7), (4, 5), (4, 7), (4, 8), (5, 6), (6, 7),
+    )),
+    "order8": Graph(8, (
+        (0, 1), (0, 2), (0, 4), (0, 7), (1, 2), (1, 4), (1, 6), (2, 6), (3, 4), (3, 5),
+        (3, 7), (6, 7),
+    )),
+    "order7": Graph(7, (
+        (0, 1), (0, 2), (0, 3), (0, 5), (1, 3), (1, 5), (1, 6), (2, 3), (2, 4), (4, 6),
+        (5, 6),
+    )),
+}
+
+
+def test_connectivity_prune_expansions_are_pinned():
+    g = _SPLIT_BY_PRUNE["order9"]
+    r = kappa_set_exact(g, (0, 2, 6, 7))
+    assert (r.value, r.status, r.expansions) == (3, "exact", 224)
+    d = decide_kappa_at_least(g, (0, 2, 6, 7), 3)
+    assert (d.outcome, d.expansions) == ("certificate", 224)
+    d = decide_kappa_at_least(_SPLIT_BY_PRUNE["order8"], (0, 2, 3, 4), 2)
+    assert (d.outcome, d.expansions) == ("certificate", 13)
+    kk = kappa_k_graph(_SPLIT_BY_PRUNE["order7"], 3)
+    assert (kk.value, kk.subset.members, kk.expansions) == (2, (0, 1, 4), 85)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_kappa_k_is_min_over_subsets(seed):
