@@ -260,6 +260,8 @@ def _roundtrip_case(
 
 
 def cmd_roundtrip(args) -> int:
+    if args.count < 1:
+        raise GraphFormatError("roundtrip needs --count >= 1")
     if args.problem == "3dm":
         problem = (lambda rng: random_3dm(rng, args.n, args.m), solve_3dm_brute, reduce_3dm)
     else:

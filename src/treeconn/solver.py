@@ -47,7 +47,7 @@ import itertools
 from dataclasses import dataclass
 
 from .certificates import TreeCertificate, certificate_to_obj
-from .graph import Graph, TerminalSet
+from .graph import Graph, TerminalSet, _is_int
 from .steiner import (
     GraphBits,
     extract_steiner_tree,
@@ -66,8 +66,8 @@ class _Budget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: int | None):
-        if limit is not None and limit <= 0:
-            raise ValueError("budget must be positive")
+        if limit is not None and (not _is_int(limit) or limit <= 0):
+            raise ValueError(f"budget must be a positive int, got {limit!r}")
         self.limit = limit
         self.used = 0
 
@@ -406,8 +406,8 @@ def decide_kappa_at_least(
     graph: Graph, terminals, k: int, budget: int | None = None
 ) -> DecideResult:
     """Find k internally disjoint trees connecting S, or prove none exist."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not _is_int(k) or k < 1:
+        raise ValueError(f"k must be an int >= 1, got {k!r}")
     terminals = TerminalSet.of(terminals)
     terminals.validate_in(graph)
     bits = GraphBits(graph)
@@ -440,8 +440,8 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
     be resolved below the best value seen so far, and those whose bounds
     already pack that value cost no search.
     """
-    if not 2 <= k <= graph.order:
-        raise ValueError(f"k must be in [2, {graph.order}], got {k}")
+    if not _is_int(k) or not 2 <= k <= graph.order:
+        raise ValueError(f"k must be an int in [2, {graph.order}], got {k!r}")
     counter = _Budget(budget)
     bits = GraphBits(graph)
     best: int | None = None

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .graph import Graph, TerminalSet
+from .graph import Graph, TerminalSet, _is_int
 from .certificates import Tree, _is_tree
 
 
@@ -71,10 +71,13 @@ def iter_minimal_trees(
     the mask of its non-terminal leaves, and every one of them keeps a
     spare edge (available, not excluded, not in the tree) to grow
     through; a node is complete once it holds every terminal and has no
-    such leaf.  An exclude branch must still connect S: the last Steiner
-    tree that showed this is kept, and replaced only once a branch lacks
-    part of it.  `prune(tree_e, tree_v)` may veto a partial tree and all
-    of its extensions (used by the packing search to apply remaining-tree
+    such leaf.  An exclude branch must still connect S.  Once S is known
+    to be connected at the root (one search, at the first exclude branch),
+    each branch tests only the edge it removes: its outer end must reach
+    the tree another way, or be cut off from every terminal.  If S is
+    split at the root, each branch searches the whole graph instead.
+    `prune(tree_e, tree_v)` may veto a partial tree and all of its
+    extensions (used by the packing search to apply remaining-tree
     bounds).  `tick` charges one budget unit per search node.
     """
     rootbit = 1 << root
@@ -82,18 +85,40 @@ def iter_minimal_trees(
         return
     einc = bits.einc
     evmask = bits.evmask
-    # (tree_e, tree_v, excl, frontier, leaves, check): a search node; `check`
-    # marks an exclude branch, tested when popped against the witness, which
-    # may hold tree vertices outside avail_v (an available edge can lead there)
-    stack = [(0, rootbit, 0, einc[root] & avail_e, 0, False)]
-    wit_e, wit_v = -1, 0
+    # (tree_e, tree_v, excl, frontier, leaves, cut): a search node; `cut` is
+    # the edge an exclude branch removes from its parent, tested when popped.
+    # A tree may hold vertices outside avail_v (an available edge can lead
+    # there), so a node's graph is avail_v | tree_v under avail_e & ~excl.
+    stack = [(0, rootbit, 0, einc[root] & avail_e, 0, 0)]
+    connected = None  # does S connect at the root? asked at the first cut
     while stack:
-        tree_e, tree_v, excl, frontier, leaves, check = stack.pop()
-        if check and (wit_e & excl or wit_v & ~avail_v & ~tree_v):
-            witness = extract_steiner_tree(bits, smask, avail_v | tree_v, avail_e & ~excl, root)
-            if witness is None:
+        tree_e, tree_v, excl, frontier, leaves, cut = stack.pop()
+        if cut:
+            if connected is None:
+                connected = extract_steiner_tree(bits, smask, avail_v, avail_e, root) is not None
+            if connected:
+                # the parent connects S, so only the cut's outer end w can be
+                # cut off: search from w until an edge into the tree, or until
+                # its side runs out, which then must hold no terminal
+                seen = evmask[cut.bit_length() - 1] & avail_v & ~tree_v
+                allowed = avail_e & ~excl
+                queue = [seen.bit_length() - 1] if seen else []
+                for x in queue:
+                    ee = einc[x] & allowed
+                    if ee & frontier:
+                        break
+                    while ee:
+                        low = ee & -ee
+                        ee ^= low
+                        ybit = evmask[low.bit_length() - 1] & avail_v & ~seen
+                        if ybit:
+                            seen |= ybit
+                            queue.append(ybit.bit_length() - 1)
+                else:
+                    if seen & smask:
+                        continue
+            elif extract_steiner_tree(bits, smask, avail_v | tree_v, avail_e & ~excl, root) is None:
                 continue
-            wit_e, wit_v = witness
         if tick is not None:
             tick()
         if not leaves and not smask & ~tree_v:
@@ -124,14 +149,14 @@ def iter_minimal_trees(
         if (spare or not wmask & smask) and (
             not leaves & vbit or einc[vbit.bit_length() - 1] & avail_e & ~excl & ~bit & ~tree_e
         ):
-            stack.append((tree_e, tree_v, excl | bit, frontier & ~bit, leaves, True))
+            stack.append((tree_e, tree_v, excl | bit, frontier & ~bit, leaves, bit))
         # include: the new vertex, if non-terminal, must be fixable later
         grown_e = tree_e | bit
         grown_v = tree_v | wmask
         if (spare or wmask & smask) and (prune is None or not prune(grown_e, grown_v)):
             stack.append((
                 grown_e, grown_v, excl, (frontier | (einc[w] & avail_e)) & ~grown_e,
-                leaves & ~vbit | wmask & ~smask, False,
+                leaves & ~vbit | wmask & ~smask, 0,
             ))
 
 
@@ -205,8 +230,8 @@ def enumerate_steiner_trees(
     (edge count, edge list).  Otherwise the first `limit` discoveries are
     returned (sorted the same way) with the truncation flag set.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    if not _is_int(limit) or limit < 1:
+        raise ValueError(f"limit must be an int >= 1, got {limit!r}")
     terminals = TerminalSet.of(terminals)
     terminals.validate_in(graph)
     bits = GraphBits(graph)

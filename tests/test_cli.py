@@ -205,6 +205,14 @@ def test_roundtrip_tiny_budget_counts_unknown(capsys):
     assert "disagree=0" in out and "unknown=4" in out
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_roundtrip_rejects_empty_count(count, capsys):
+    code = main(["roundtrip", "3sat", "--count", count])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "--count >= 1" in captured.err and "agree=" not in captured.out
+
+
 def test_budget_env_var(k4_file, monkeypatch):
     monkeypatch.setenv("KAPPA_BUDGET", "2")
     assert main(["kappa", "--graph", k4_file, "--terminals", "0,1,2,3"]) == 2

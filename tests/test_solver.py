@@ -93,6 +93,28 @@ def test_budget_exhaustion_reports_unknown():
         kappa_set_exact(g, (0, 1), budget=0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: decide_kappa_at_least(g, (0, 1), True),
+        lambda g: decide_kappa_at_least(g, (0, 1), 2.0),
+        lambda g: decide_kappa_at_least(g, (0, 1), 2, budget=True),
+        lambda g: kappa_set_exact(g, (0, 1), budget=2.5),
+        lambda g: kappa_set_exact(g, (0, 1), budget="100"),
+        lambda g: kappa_k_graph(g, True),
+        lambda g: kappa_k_graph(g, 3.0),
+        lambda g: kappa_k_graph(g, 2, budget=1e6),
+    ],
+    ids=[
+        "decide-k-bool", "decide-k-float", "decide-budget-bool", "kappa-budget-float",
+        "kappa-budget-str", "kappa_k-k-bool", "kappa_k-k-float", "kappa_k-budget-float",
+    ],
+)
+def test_integer_arguments_reject_bool_and_float(call):
+    with pytest.raises(ValueError, match="must be"):
+        call(complete_graph(4))
+
+
 def test_menger_examples(petersen):
     k5 = complete_graph(5)
     for u, v in itertools.combinations(range(5), 2):

@@ -220,6 +220,12 @@ def test_limit_truncates_with_flag():
         enumerate_steiner_trees(path_graph(3), (0, 2), 0)
 
 
+@pytest.mark.parametrize("limit", [True, 2.0, "2"])
+def test_limit_must_be_an_int(limit):
+    with pytest.raises(ValueError, match="limit must be"):
+        enumerate_steiner_trees(complete_graph(4), (0, 1), limit)
+
+
 def test_enumeration_is_deterministic():
     g = complete_graph(5)
     a = enumerate_steiner_trees(g, (0, 1, 2), 10000)
@@ -317,11 +323,12 @@ def test_enumeration_order_matches_reference(seed, order, stop_after):
     )
 
 
-def test_witness_searches_are_pinned(monkeypatch):
-    """The enumerator searches for a new witness tree only when an exclude
-    branch breaks the last one, and never pushes a branch whose excluded
-    edge was a terminal's last one.  A search on every popped exclude branch
-    would run 111 times in K5 and 1,330 times in K6."""
+def test_enumerator_extractions_are_pinned(monkeypatch):
+    """With S connected at the root, one whole-graph search per enumeration:
+    each exclude branch then tests only the edge it removes.  With S split
+    at the root (a terminal outside avail_v that an available edge still
+    reaches), every popped exclude branch searches the whole graph after
+    the root check."""
     searches = []
 
     def counted(*args):
@@ -329,10 +336,20 @@ def test_witness_searches_are_pinned(monkeypatch):
         return extract_steiner_tree(*args)
 
     monkeypatch.setattr(steiner, "extract_steiner_tree", counted)
-    for n, terminals, trees, expected in ((5, (0, 1, 2), 41, 65), (6, (0, 1, 2, 3), 440, 619)):
+    for n, terminals, trees in ((5, (0, 1, 2), 41), (6, (0, 1, 2, 3), 440)):
         searches.clear()
         assert len(enumerate_steiner_trees(complete_graph(n), terminals, 10**5).trees) == trees
+        assert len(searches) == 1
+    for n, terminals, trees, expected in ((5, (0, 1, 2), 10, 31), (6, (0, 1, 2, 3), 104, 343)):
+        bits = GraphBits(complete_graph(n))
+        avail_v = bits.all_v & ~(1 << 1)
+        searches.clear()
+        found = list(iter_minimal_trees(bits, mask_of(terminals), avail_v, bits.all_e, 0))
+        assert len(found) == trees
         assert len(searches) == expected
+        # the root check, then one search per exclude branch, each without its cut
+        assert searches[0][2:4] == (avail_v, bits.all_e)
+        assert all(args[3] != bits.all_e for args in searches[1:])
 
 
 @settings(max_examples=200, deadline=None)
