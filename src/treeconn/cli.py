@@ -24,6 +24,7 @@ from .graph import (
     Graph,
     GraphFormatError,
     TerminalSet,
+    _decimal,
     export_dot,
     parse_graph,
     parse_terminals,
@@ -66,10 +67,9 @@ def _default_budget() -> int | None:
     if raw is None:
         return None
     try:
-        budget = int(raw)
+        return _decimal(raw, signed=True)
     except ValueError:
         raise GraphFormatError(f"KAPPA_BUDGET must be an integer, got {raw!r}") from None
-    return budget
 
 
 def _load_graph(path: str) -> Graph:

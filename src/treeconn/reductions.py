@@ -99,14 +99,16 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.num_vars < 0:
-            raise ValueError("num_vars must be >= 0")
+        if not _is_int(self.num_vars) or self.num_vars < 0:
+            raise ValueError(f"num_vars must be an int >= 0, got {self.num_vars!r}")
         clauses = tuple(tuple(c) for c in self.clauses)
         for pos, clause in enumerate(clauses):
             if len(clause) > 3:
                 raise ValueError(f"clause {pos}: more than 3 literals")
             seen_vars = set()
             for lit in clause:
+                if not _is_int(lit):
+                    raise ValueError(f"clause {pos}: literal must be an int, got {lit!r}")
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise ValueError(f"clause {pos}: literal {lit} out of range")
                 if abs(lit) in seen_vars:
@@ -189,11 +191,18 @@ def reduced_from_obj(obj: object) -> ReducedInstance:
         _check_vertex_id(v, "terminals")
     if not _is_int(threshold):
         raise GraphFormatError(f"'threshold' must be an integer, got {threshold!r}")
-    if not isinstance(roles, dict) or not all(isinstance(r, str) for r in roles.values()):
+    if not isinstance(roles, dict) or not all(
+        isinstance(k, str) and isinstance(r, str) for k, r in roles.items()
+    ):
         raise GraphFormatError("'roles' must map vertex ids to strings")
     try:
-        roles = {int(k): r for k, r in roles.items()}
-        return ReducedInstance(graph, TerminalSet(tuple(terminals)), threshold, roles)
+        by_id = {}
+        for key, role in roles.items():
+            v = _decimal(key)
+            if v in by_id:
+                raise ValueError(f"vertex {v} has two roles")
+            by_id[v] = role
+        return ReducedInstance(graph, TerminalSet(tuple(terminals)), threshold, by_id)
     except ValueError as exc:
         raise GraphFormatError(f"invalid reduced instance: {exc}") from exc
 
@@ -648,10 +657,13 @@ def lift_terminals(
     """
     terminals = TerminalSet.of(terminals)
     terminals.validate_in(graph)
+    for name, value in (("k1", k1), ("k2", k2)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if k1 <= len(terminals):
-        raise ValueError(f"k1 must exceed |S| = {len(terminals)}")
+        raise ValueError(f"k1 must exceed |S| = {len(terminals)}, got {k1}")
     if k2 < 1:
-        raise ValueError("k2 must be >= 1")
+        raise ValueError(f"k2 must be >= 1, got {k2}")
     hubs = k1 - len(terminals)
     anchor = terminals.members[0]
     order = graph.order + hubs + hubs * k2
@@ -682,8 +694,10 @@ def pad_tree_count(graph: Graph, terminals, k: int) -> ReducedInstance:
     """
     terminals = TerminalSet.of(terminals)
     terminals.validate_in(graph)
+    if not _is_int(k):
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 3:
-        raise ValueError("k must be >= 3")
+        raise ValueError(f"k must be >= 3, got {k}")
     pads = k - 2
     order = graph.order + pads
     edges = list(graph.edges)

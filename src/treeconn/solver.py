@@ -36,6 +36,11 @@ edge bitmasks, so no network is built per call.  The Steiner enumerator
 keeps its own stack, so tree length is not limited by the interpreter's
 recursion limit.
 
+What the packed trees leave to the others is one edge mask.  A tree
+takes its own edges and every edge of its non-terminals, and terminals
+never leave, so a vertex is still available exactly when it keeps an
+available edge; no vertex mask is needed.
+
 `brute_force_kappa` is an independent oracle: it enumerates candidate
 trees by Steiner-vertex subsets and packs them by plain exhaustive search,
 sharing no bound or enumeration code with the main solver.
@@ -125,7 +130,6 @@ class KappaKResult:
 def _flow_at_least(
     bits: GraphBits,
     smask: int,
-    avail_v: int,
     avail_e: int,
     src: int,
     dst: int,
@@ -140,7 +144,8 @@ def _flow_at_least(
 
     The split network is never materialized.  Node 2v is v_in and 2v+1 is
     v_out; every edge of avail_e gives unit arcs u_out -> v_in and
-    v_out -> u_in, and every vertex of avail_v an arc v_in -> v_out.  Routes
+    v_out -> u_in, and every vertex an arc v_in -> v_out (a vertex with no
+    edge of avail_e is never reached, so it needs no mask).  Routes
     run from src_out to dst_in.  The flow is held as edge masks: out_e[v]
     has the arcs leaving v_out that carry flow, in_e[v] those entering v_in.
     Below the sink dst_in, the through-flow of v is the size of in_e[v], so
@@ -183,11 +188,7 @@ def _flow_at_least(
             else:
                 # v_in: through v if it has capacity left, then back along
                 # the edge arcs that carry flow into v
-                if (
-                    vbit & avail_v
-                    and not vbit & seen_out
-                    and (vbit & smask or not in_e[v])
-                ):
+                if not vbit & seen_out and (vbit & smask or not in_e[v]):
                     seen_out |= vbit
                     via[node + 1] = 0
                     queue.append(node + 1)
@@ -229,7 +230,6 @@ def _bound(
     bits: GraphBits,
     smask: int,
     terminals: tuple[int, ...],
-    avail_v: int,
     avail_e: int,
     cap: int,
     need: int,
@@ -245,23 +245,20 @@ def _bound(
     src = terminals[degrees.index(least)]
     for t in terminals:
         if t != src and cap >= need:
-            cap = _flow_at_least(bits, smask, avail_v, avail_e, src, t, cap)
+            cap = _flow_at_least(bits, smask, avail_e, src, t, cap)
     return cap
 
 
-def _remainder(
-    bits: GraphBits, smask: int, avail_v: int, avail_e: int, tree_e: int, tree_v: int
-) -> tuple[int, int]:
-    """What a tree leaves to the others: the available vertices and edges
-    without its edges, its non-terminals and their edges."""
+def _remainder(bits: GraphBits, smask: int, avail_e: int, tree_e: int, tree_v: int) -> int:
+    """What a tree leaves to the others: the available edges without its
+    edges and every edge of its non-terminals, which thereby leave too."""
     internals = tree_v & ~smask
-    avail_v &= ~internals
     avail_e &= ~tree_e
     while internals:
         low = internals & -internals
         internals ^= low
         avail_e &= ~bits.einc[low.bit_length() - 1]
-    return avail_v, avail_e
+    return avail_e
 
 
 def _greedy_packing(
@@ -269,13 +266,13 @@ def _greedy_packing(
 ) -> list[tuple[int, int]]:
     """Up to `cap` trees, each extracted from what the earlier ones left."""
     packing = []
-    avail_v, avail_e = bits.all_v, bits.all_e
+    avail_e = bits.all_e
     while len(packing) < cap:
-        tree = extract_steiner_tree(bits, smask, avail_v, avail_e, anchor)
+        tree = extract_steiner_tree(bits, smask, avail_e, anchor)
         if tree is None:
             break
         packing.append(tree)
-        avail_v, avail_e = _remainder(bits, smask, avail_v, avail_e, *tree)
+        avail_e = _remainder(bits, smask, avail_e, *tree)
     return packing
 
 
@@ -298,10 +295,7 @@ def _climb(
     """
     smask = mask_of(terminals)
     # U <= the least terminal degree <= |E|, so |E| leaves U uncapped
-    cap = _bound(
-        bits, smask, terminals, bits.all_v, bits.all_e,
-        len(bits.edges) if hi is None else hi, lo,
-    )
+    cap = _bound(bits, smask, terminals, bits.all_e, len(bits.edges) if hi is None else hi, lo)
     if cap < lo:
         return lo - 1, None, True
     einc = bits.einc
@@ -322,16 +316,13 @@ def _climb(
         key=lambda v: einc[v].bit_count(),
         default=None,
     )
-    block_v, block_e = (0, 0) if block is None else (1 << block, einc[block])
+    block_e = 0 if block is None else einc[block]
     edges_per_tree = len(terminals) - 1
     # edges of the last Steiner tree that showed S connected in a prune's
-    # remainder; a remainder drops the edges of each vertex it drops, so one
-    # that keeps these edges keeps the whole tree
+    # remainder; a remainder that keeps them all still connects S
     wit_e = -1
 
-    def search(
-        avail_v: int, avail_e: int, need: int, min_anchor_edge: int
-    ) -> list[tuple[int, int]] | None:
+    def search(avail_e: int, need: int, min_anchor_edge: int) -> list[tuple[int, int]] | None:
         """Pack `need` more trees, or None.  The caller has checked the
         bounds for this node: `_climb` at the root, the parent for every
         child."""
@@ -339,7 +330,7 @@ def _climb(
         if need == 1:
             # the last slot is free of both the anchor-edge ordering and the
             # blocked vertex: it hosts whatever tree the reorderings deferred
-            tree = extract_steiner_tree(bits, smask, avail_v, avail_e, anchor)
+            tree = extract_steiner_tree(bits, smask, avail_e, anchor)
             return None if tree is None else [tree]
         remaining = need - 1
 
@@ -347,14 +338,14 @@ def _climb(
             """The cheap terms of `_bound` on what the tree would leave:
             `remaining` free edges at every terminal and in all, S connected."""
             nonlocal wit_e
-            rem_v, rem_e = _remainder(bits, smask, avail_v, avail_e, tree_e, tree_v)
+            rem_e = _remainder(bits, smask, avail_e, tree_e, tree_v)
             for s in terminals:
                 if (einc[s] & rem_e).bit_count() < remaining:
                     return True
             if rem_e.bit_count() < remaining * edges_per_tree:
                 return True
             if wit_e & ~rem_e:
-                witness = extract_steiner_tree(bits, smask, rem_v, rem_e, anchor)
+                witness = extract_steiner_tree(bits, smask, rem_e, anchor)
                 if witness is None:
                     return True
                 wit_e = witness[0]
@@ -364,32 +355,29 @@ def _climb(
         # earlier slots of the canonical ordering and are dead from here on
         dead_e = einc[anchor] & ((1 << (min_anchor_edge + 1)) - 1)
         for tree_e, tree_v in iter_minimal_trees(
-            bits, smask, avail_v & ~block_v, avail_e & ~dead_e & ~block_e,
-            anchor, counter.tick, prune,
+            bits, smask, avail_e & ~dead_e & ~block_e, anchor, counter.tick, prune
         ):
-            next_v, next_e = _remainder(bits, smask, avail_v, avail_e, tree_e, tree_v)
+            next_e = _remainder(bits, smask, avail_e, tree_e, tree_v)
             # prune has checked the cheap terms on exactly this remainder, so
             # only the flow can close it; the bound runs on the true
             # availability, since the ordering mask and the blocked vertex
             # constrain this slot's tree, not later ones
             if remaining >= 2 and _bound(
-                bits, smask, terminals, next_v, next_e, remaining, remaining
+                bits, smask, terminals, next_e, remaining, remaining
             ) < remaining:
                 continue
             anchor_edges = tree_e & einc[anchor]
-            sub = search(
-                next_v, next_e, remaining, (anchor_edges & -anchor_edges).bit_length() - 1
-            )
+            sub = search(next_e, remaining, (anchor_edges & -anchor_edges).bit_length() - 1)
             if sub is not None:
                 return [(tree_e, tree_v)] + sub
         return None
 
     try:
-        found = search(bits.all_v, bits.all_e, cap, -1)
+        found = search(bits.all_e, cap, -1)
         if found is not None:
             return cap, found, True
         for k in range(value + 1, cap):
-            found = search(bits.all_v, bits.all_e, k, -1)
+            found = search(bits.all_e, k, -1)
             if found is None:
                 break
             value, packing = k, found
@@ -468,9 +456,7 @@ def menger_pair(graph: Graph, u: int, v: int) -> int:
         if not 0 <= x < graph.order:
             raise ValueError(f"vertex {x} out of range")
     bits = GraphBits(graph)
-    return _flow_at_least(
-        bits, (1 << u) | (1 << v), bits.all_v, bits.all_e, u, v, None
-    )
+    return _flow_at_least(bits, (1 << u) | (1 << v), bits.all_e, u, v, None)
 
 
 # ---------------------------------------------------------------------------

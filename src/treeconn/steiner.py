@@ -23,7 +23,7 @@ from .certificates import Tree, _is_tree
 class GraphBits:
     """Bitmask view of a graph for the combinatorial search routines."""
 
-    __slots__ = ("order", "edges", "einc", "evmask", "all_v", "all_e")
+    __slots__ = ("order", "edges", "einc", "evmask", "all_e")
 
     def __init__(self, graph: Graph):
         self.order = graph.order
@@ -35,7 +35,6 @@ class GraphBits:
             self.einc[u] |= bit
             self.einc[v] |= bit
             self.evmask.append((1 << u) | (1 << v))
-        self.all_v = (1 << graph.order) - 1
         self.all_e = (1 << len(graph.edges)) - 1
 
 
@@ -56,7 +55,6 @@ def mask_of(ids) -> int:
 def iter_minimal_trees(
     bits: GraphBits,
     smask: int,
-    avail_v: int,
     avail_e: int,
     root: int,
     tick: Callable[[], None] | None = None,
@@ -64,61 +62,53 @@ def iter_minimal_trees(
 ) -> Iterator[tuple[int, int]]:
     """Yield every minimal Steiner tree inside the available subgraph.
 
-    Trees come out as (edge_mask, vertex_mask) in a deterministic
-    depth-first discovery order: at each step the lowest-indexed frontier
-    edge is first included, then excluded, so each edge set is produced
-    exactly once.  `root` must be a terminal.  Each search node carries
-    the mask of its non-terminal leaves, and every one of them keeps a
-    spare edge (available, not excluded, not in the tree) to grow
-    through; a node is complete once it holds every terminal and has no
-    such leaf.  An exclude branch must still connect S.  Once S is known
-    to be connected at the root (one search, at the first exclude branch),
-    each branch tests only the edge it removes: its outer end must reach
-    the tree another way, or be cut off from every terminal.  If S is
-    split at the root, each branch searches the whole graph instead.
-    `prune(tree_e, tree_v)` may veto a partial tree and all of its
-    extensions (used by the packing search to apply remaining-tree
-    bounds).  `tick` charges one budget unit per search node.
+    The available subgraph is the edge set `avail_e` with the vertices it
+    touches.  Trees come out as (edge_mask, vertex_mask) in a
+    deterministic depth-first discovery order: at each step the
+    lowest-indexed frontier edge is first included, then excluded, so each
+    edge set is produced exactly once.  `root` must be a terminal.  If S
+    is split at the root (one search, before the root node), nothing is
+    yielded and nothing ticked.  Each search node carries the mask of its
+    non-terminal leaves, and every one of them keeps a spare edge
+    (available, not excluded, not in the tree) to grow through; a node is
+    complete once it holds every terminal and has no such leaf.  An
+    exclude branch must still connect S; since its parent does, it tests
+    only the edge it removes: that edge's outer end must reach the tree
+    another way, or be cut off from every terminal.  `prune(tree_e,
+    tree_v)` may veto a partial tree and all of its extensions (used by
+    the packing search to apply remaining-tree bounds).  `tick` charges
+    one budget unit per search node.
     """
-    rootbit = 1 << root
-    if not rootbit & avail_v:
+    if extract_steiner_tree(bits, smask, avail_e, root) is None:
         return
     einc = bits.einc
     evmask = bits.evmask
     # (tree_e, tree_v, excl, frontier, leaves, cut): a search node; `cut` is
-    # the edge an exclude branch removes from its parent, tested when popped.
-    # A tree may hold vertices outside avail_v (an available edge can lead
-    # there), so a node's graph is avail_v | tree_v under avail_e & ~excl.
-    stack = [(0, rootbit, 0, einc[root] & avail_e, 0, 0)]
-    connected = None  # does S connect at the root? asked at the first cut
+    # the edge an exclude branch removes from its parent, tested when popped
+    stack = [(0, 1 << root, 0, einc[root] & avail_e, 0, 0)]
     while stack:
         tree_e, tree_v, excl, frontier, leaves, cut = stack.pop()
         if cut:
-            if connected is None:
-                connected = extract_steiner_tree(bits, smask, avail_v, avail_e, root) is not None
-            if connected:
-                # the parent connects S, so only the cut's outer end w can be
-                # cut off: search from w until an edge into the tree, or until
-                # its side runs out, which then must hold no terminal
-                seen = evmask[cut.bit_length() - 1] & avail_v & ~tree_v
-                allowed = avail_e & ~excl
-                queue = [seen.bit_length() - 1] if seen else []
-                for x in queue:
-                    ee = einc[x] & allowed
-                    if ee & frontier:
-                        break
-                    while ee:
-                        low = ee & -ee
-                        ee ^= low
-                        ybit = evmask[low.bit_length() - 1] & avail_v & ~seen
-                        if ybit:
-                            seen |= ybit
-                            queue.append(ybit.bit_length() - 1)
-                else:
-                    if seen & smask:
-                        continue
-            elif extract_steiner_tree(bits, smask, avail_v | tree_v, avail_e & ~excl, root) is None:
-                continue
+            # the parent connects S, so only the cut's outer end w can be
+            # cut off: search from w until an edge into the tree, or until
+            # its side runs out, which then must hold no terminal
+            seen = evmask[cut.bit_length() - 1] & ~tree_v
+            allowed = avail_e & ~excl
+            queue = [seen.bit_length() - 1]
+            for x in queue:
+                ee = einc[x] & allowed
+                if ee & frontier:
+                    break
+                while ee:
+                    low = ee & -ee
+                    ee ^= low
+                    ybit = evmask[low.bit_length() - 1] & ~seen
+                    if ybit:
+                        seen |= ybit
+                        queue.append(ybit.bit_length() - 1)
+            else:
+                if seen & smask:
+                    continue
         if tick is not None:
             tick()
         if not leaves and not smask & ~tree_v:
@@ -161,17 +151,16 @@ def iter_minimal_trees(
 
 
 def extract_steiner_tree(
-    bits: GraphBits, smask: int, avail_v: int, avail_e: int, root: int
+    bits: GraphBits, smask: int, avail_e: int, root: int
 ) -> tuple[int, int] | None:
     """Deterministically pick one minimal Steiner tree, or None if S is split.
 
-    `root` must be a terminal (the solver's anchor).  The tree is the union
-    of the paths back to the root from each terminal in a breadth-first
-    search (lowest edge index first) that stops once all are reached.
+    The tree uses edges of `avail_e` only.  `root` must be a terminal (the
+    solver's anchor).  The tree is the union of the paths back to the root
+    from each terminal in a breadth-first search (lowest edge index first)
+    that stops once all are reached.
     """
     rootbit = 1 << root
-    if not rootbit & avail_v or smask & ~avail_v:
-        return None
     einc = bits.einc
     evmask = bits.evmask
     up: dict[int, int] = {}
@@ -184,7 +173,7 @@ def extract_steiner_tree(
         while ee:
             low = ee & -ee
             ee ^= low
-            wbit = evmask[low.bit_length() - 1] & avail_v & ~visited
+            wbit = evmask[low.bit_length() - 1] & ~visited
             if wbit:
                 visited |= wbit
                 w = wbit.bit_length() - 1
@@ -237,7 +226,7 @@ def enumerate_steiner_trees(
     bits = GraphBits(graph)
     smask = mask_of(terminals.members)
     found = list(itertools.islice(
-        iter_minimal_trees(bits, smask, bits.all_v, bits.all_e, terminals.members[0]),
+        iter_minimal_trees(bits, smask, bits.all_e, terminals.members[0]),
         limit + 1,
     ))
     trees = sorted(
@@ -348,7 +337,5 @@ def count_topologies(graph: Graph, terminals: TerminalSet | list[int]) -> int:
     sset = frozenset(terminals.members)
     return len({
         _reduced_code([bits.edges[e] for e in iter_bits(tree_e)], sset)
-        for tree_e, _ in iter_minimal_trees(
-            bits, smask, bits.all_v, bits.all_e, terminals.members[0]
-        )
+        for tree_e, _ in iter_minimal_trees(bits, smask, bits.all_e, terminals.members[0])
     })

@@ -220,6 +220,22 @@ def test_budget_env_var(k4_file, monkeypatch):
     assert main(["kappa", "--graph", k4_file, "--terminals", "0,1,2,3"]) == 1
 
 
+@pytest.mark.parametrize("raw", ["1_0", " 10", "+10", "\uff11\uff10"])
+def test_budget_env_var_takes_ascii_decimals_only(raw, k4_file, monkeypatch, capsys):
+    monkeypatch.setenv("KAPPA_BUDGET", raw)
+    assert main(["kappa", "--graph", k4_file, "--terminals", "0,1,2,3"]) == 1
+    assert "error: KAPPA_BUDGET must be an integer" in capsys.readouterr().err
+
+
+def test_reduce_3sat_strict3(tmp_path, capsys):
+    path = tmp_path / "phi.cnf"
+    path.write_text("p cnf 3 2\n1 2 3 0\n-1 2 0\n")
+    assert main(["reduce", "3sat", "--in", str(path), "--strict3"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["reduce", "3sat", "--in", str(path)]) == 0
+    assert "threshold=2" in capsys.readouterr().out
+
+
 def test_classify_command(k4_file, capsys):
     assert main(["classify", "--graph", k4_file, "--terminals", "0,1,2,3", "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)

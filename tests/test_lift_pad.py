@@ -75,6 +75,22 @@ def test_pad_validation():
         pad_tree_count(cycle_graph(4), (0, 2), 2)
 
 
+@pytest.mark.parametrize(
+    "reduce, ks, message",
+    [
+        (lift_terminals, (3, True), "k2 must be an int, got True"),
+        (lift_terminals, (3.0, 2), "k1 must be an int, got 3.0"),
+        (lift_terminals, ("3", 2), "k1 must be an int, got '3'"),
+        (pad_tree_count, (3.0,), "k must be an int, got 3.0"),
+        (pad_tree_count, (True,), "k must be an int, got True"),
+    ],
+)
+def test_lift_and_pad_reject_non_int_values(reduce, ks, message):
+    with pytest.raises(ValueError) as err:
+        reduce(cycle_graph(4), (0, 2), *ks)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_lift_equivalence_random(seed):
     rng = random.Random(90000 + seed)

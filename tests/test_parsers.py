@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeconn import GraphFormatError, parse_certificate, parse_graph
-from treeconn.reductions import parse_3dm, parse_dimacs, parse_reduced
+from treeconn.reductions import parse_3dm, parse_dimacs, parse_reduced, reduced_from_obj
 
 # field names of every JSON format, so that generated objects often get
 # past the top-level checks and reach the readers' inner validation
@@ -52,3 +53,23 @@ def test_parsers_return_or_raise_format_error(text):
             parse(text)
         except GraphFormatError:
             pass
+
+
+_ROLES = {"0": "a", "1": "b", "2": "c"}
+
+
+@pytest.mark.parametrize(
+    "roles, message",
+    [
+        ({" 0": "a", "1": "b", "2": "c"}, "not a decimal integer: ' 0'"),
+        ({"0": "a", "1": "b", "0_2": "c"}, "not a decimal integer: '0_2'"),
+        ({"0": "a", "+1": "b", "2": "c"}, "not a decimal integer: '+1'"),
+        ({"0": "a", "1": "b", "2": "c", "00": "d"}, "vertex 0 has two roles"),
+    ],
+)
+def test_reduced_role_keys_are_ascii_decimals_once_each(roles, message):
+    obj = {"graph": {"order": 3, "edges": [[0, 1], [1, 2]]}, "terminals": [0, 2], "threshold": 1}
+    assert reduced_from_obj({**obj, "roles": _ROLES}).roles == {0: "a", 1: "b", 2: "c"}
+    with pytest.raises(GraphFormatError) as err:
+        reduced_from_obj({**obj, "roles": roles})
+    assert str(err.value) == f"invalid reduced instance: {message}"

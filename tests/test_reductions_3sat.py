@@ -42,6 +42,22 @@ def test_formula_validation():
         CnfFormula(4, ((1, 2, 3, 4),))
 
 
+@pytest.mark.parametrize(
+    "num_vars, clauses, message",
+    [
+        (2, ((True, 2),), "clause 0: literal must be an int, got True"),
+        (2, ((1, 2.0),), "clause 0: literal must be an int, got 2.0"),
+        (2.5, ((1, 2),), "num_vars must be an int >= 0, got 2.5"),
+        ("2", ((1, 2),), "num_vars must be an int >= 0, got '2'"),
+        (True, ((1,),), "num_vars must be an int >= 0, got True"),
+    ],
+)
+def test_formula_rejects_non_int_values(num_vars, clauses, message):
+    with pytest.raises(ValueError) as err:
+        CnfFormula(num_vars, clauses)
+    assert str(err.value) == message
+
+
 def test_construction_shape():
     phi = CnfFormula(3, ((1, 2, 3), (-1, -2, 3)))
     red = reduce_3sat(phi)

@@ -23,8 +23,8 @@ from treeconn import (
 )
 from treeconn.certificates import TreeCertificate
 from treeconn.generators import random_connected_graph, random_graph, random_terminals
-from treeconn.solver import _bound, _greedy_packing
-from treeconn.steiner import GraphBits, mask_of, tree_from_masks
+from treeconn.solver import _bound, _greedy_packing, _remainder
+from treeconn.steiner import GraphBits, iter_bits, iter_minimal_trees, mask_of, tree_from_masks
 
 
 def test_path_pair():
@@ -223,7 +223,7 @@ def test_climb_refutes_a_level_between_greedy_and_bound():
     s = (0, 4, 5, 7)
     bits = GraphBits(g)
     smask = mask_of(s)
-    assert _bound(bits, smask, s, bits.all_v, bits.all_e, g.edge_count, 1) == 5
+    assert _bound(bits, smask, s, bits.all_e, g.edge_count, 1) == 5
     assert len(_greedy_packing(bits, smask, 0, 5)) == 2
     result = kappa_set_exact(g, s)
     assert (result.value, result.status) == (3, "exact")
@@ -269,7 +269,7 @@ def test_bounds_are_admissible(seed):
     bits = GraphBits(g)
     smask = mask_of(s.members)
     value = brute_force_kappa(g, s)
-    upper = _bound(bits, smask, s.members, bits.all_v, bits.all_e, g.edge_count, 1)
+    upper = _bound(bits, smask, s.members, bits.all_e, g.edge_count, 1)
     assert value <= upper
     if len(s) == 2:
         assert upper == menger_pair(g, *s.members)
@@ -280,6 +280,33 @@ def test_bounds_are_admissible(seed):
         assert len(greedy) <= value
     over = decide_kappa_at_least(g, s, upper + 1)
     assert over.outcome == "refuted" and over.expansions == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_remainder_keeps_no_edge_of_a_dropped_internal(seed):
+    """What trees leave is one edge mask: a non-terminal of a packed tree
+    keeps no available edge, so it counts as gone without a vertex mask."""
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(3, 9), rng.choice([0.3, 0.5, 0.7]))
+    s = random_terminals(rng, g, rng.randint(2, min(4, g.order)))
+    bits = GraphBits(g)
+    smask = mask_of(s.members)
+    avail_e = mask_of(e for e in range(g.edge_count) if rng.random() < 0.9)
+    dropped = 0
+    for _ in range(3):
+        trees = list(itertools.islice(
+            iter_minimal_trees(bits, smask, avail_e, rng.choice(s.members)), 30
+        ))
+        if not trees:
+            break
+        tree_e, tree_v = rng.choice(trees)
+        left = _remainder(bits, smask, avail_e, tree_e, tree_v)
+        assert not left & ~avail_e and not left & tree_e
+        dropped |= tree_v & ~smask
+        for v in iter_bits(dropped):
+            assert not bits.einc[v] & left
+        avail_e = left
 
 
 @settings(max_examples=80, deadline=None)

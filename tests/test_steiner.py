@@ -24,6 +24,7 @@ from treeconn.steiner import (
     GraphBits,
     _reduced_code,
     extract_steiner_tree,
+    iter_bits,
     iter_minimal_trees,
     mask_of,
 )
@@ -93,9 +94,10 @@ def reference_minimal_trees(
 ) -> Iterator[tuple[int, int]]:
     """The enumerator as a recursion: include the lowest frontier edge, then
     exclude it.  `iter_minimal_trees` walks the same search nodes with an
-    explicit stack; the solver's work counts depend on their order."""
+    explicit stack; the solver's work counts depend on their order.  If S
+    is split at the root, no node is searched."""
     rootbit = 1 << root
-    if not rootbit & avail_v:
+    if not rootbit & avail_v or not reaches(bits, rootbit, smask, avail_v, avail_e):
         return
     einc = bits.einc
     evmask = bits.evmask
@@ -270,7 +272,7 @@ class _Stop(Exception):
     pass
 
 
-def _events(enumerate_trees, bits, smask, avail_v, avail_e, root, veto, stop_after):
+def _events(enumerate_trees, args, veto, stop_after):
     """Every tick, prune call and tree in the order they happen."""
     events: list = []
     ticks = itertools.count(1)
@@ -285,7 +287,7 @@ def _events(enumerate_trees, bits, smask, avail_v, avail_e, root, veto, stop_aft
         return hash((veto, tree_e, tree_v)) % 4 == 0
 
     try:
-        for tree in enumerate_trees(bits, smask, avail_v, avail_e, root, tick, prune):
+        for tree in enumerate_trees(*args, tick, prune):
             events.append(("tree",) + tree)
     except _Stop:
         events.append("stopped")
@@ -305,30 +307,28 @@ def test_enumeration_order_matches_reference(seed, order, stop_after):
     terminals = rng.sample(range(order), rng.randint(2, min(4, order)))
     bits = GraphBits(g)
     smask = mask_of(terminals)
-    avail_v = bits.all_v & ~mask_of(v for v in range(order) if rng.random() < 0.15) | smask
+    # an unavailable vertex is one whose edges are all gone
+    gone = mask_of(v for v in range(order) if rng.random() < 0.15) & ~smask
     if rng.random() < 0.3:
-        # a terminal other than the root is unavailable, yet an available
-        # edge may still take it into a tree
-        avail_v &= ~(1 << rng.choice(terminals[1:]))
+        # a terminal other than the root loses its edges: S is split
+        gone |= 1 << rng.choice(terminals[1:])
     avail_e = bits.all_e & ~mask_of(e for e in range(len(g.edges)) if rng.random() < 0.15)
+    for v in iter_bits(gone):
+        avail_e &= ~bits.einc[v]
     root = terminals[0]
-    assert list(iter_minimal_trees(bits, smask, avail_v, avail_e, root)) == list(
-        reference_minimal_trees(bits, smask, avail_v, avail_e, root)
-    )
+    got = (bits, smask, avail_e, root)
+    expected = (bits, smask, (1 << order) - 1, avail_e, root)
+    assert list(iter_minimal_trees(*got)) == list(reference_minimal_trees(*expected))
     veto = rng.randrange(1 << 30)
-    assert _events(
-        iter_minimal_trees, bits, smask, avail_v, avail_e, root, veto, stop_after
-    ) == _events(
-        reference_minimal_trees, bits, smask, avail_v, avail_e, root, veto, stop_after
+    assert _events(iter_minimal_trees, got, veto, stop_after) == _events(
+        reference_minimal_trees, expected, veto, stop_after
     )
 
 
 def test_enumerator_extractions_are_pinned(monkeypatch):
-    """With S connected at the root, one whole-graph search per enumeration:
-    each exclude branch then tests only the edge it removes.  With S split
-    at the root (a terminal outside avail_v that an available edge still
-    reaches), every popped exclude branch searches the whole graph after
-    the root check."""
+    """One whole-graph search per enumeration, before the root node: each
+    exclude branch then tests only the edge it removes.  With S split at
+    the root the enumeration stops there, with no tree and no tick."""
     searches = []
 
     def counted(*args):
@@ -340,23 +340,20 @@ def test_enumerator_extractions_are_pinned(monkeypatch):
         searches.clear()
         assert len(enumerate_steiner_trees(complete_graph(n), terminals, 10**5).trees) == trees
         assert len(searches) == 1
-    for n, terminals, trees, expected in ((5, (0, 1, 2), 10, 31), (6, (0, 1, 2, 3), 104, 343)):
-        bits = GraphBits(complete_graph(n))
-        avail_v = bits.all_v & ~(1 << 1)
-        searches.clear()
-        found = list(iter_minimal_trees(bits, mask_of(terminals), avail_v, bits.all_e, 0))
-        assert len(found) == trees
-        assert len(searches) == expected
-        # the root check, then one search per exclude branch, each without its cut
-        assert searches[0][2:4] == (avail_v, bits.all_e)
-        assert all(args[3] != bits.all_e for args in searches[1:])
+    bits = GraphBits(complete_graph(5))
+    avail_e = bits.all_e & ~bits.einc[1]
+    searches.clear()
+    ticks = []
+    found = list(iter_minimal_trees(bits, mask_of((0, 1, 2)), avail_e, 0, lambda: ticks.append(1)))
+    assert (found, ticks, len(searches)) == ([], [], 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_extract_matches_reference(seed):
     """The same tree, or None, as the whole search tree trimmed of its
-    non-terminal leaves, under random vertex and edge availability."""
+    non-terminal leaves, under random vertex and edge availability; an
+    unavailable vertex is one whose edges are all gone."""
     rng = random.Random(seed)
     order = rng.randint(2, 14)
     g = random_graph(rng, order, rng.uniform(0.2, 0.8))
@@ -366,12 +363,14 @@ def test_extract_matches_reference(seed):
     for _ in range(20):
         # a terminal may be unavailable too
         keep_v, keep_e = rng.choice([0.7, 0.9, 1.0]), rng.choice([0.6, 0.8, 1.0])
-        avail_v = mask_of(v for v in range(order) if rng.random() < keep_v)
         avail_e = mask_of(e for e in range(len(g.edges)) if rng.random() < keep_e)
+        for v in range(order):
+            if rng.random() >= keep_v:
+                avail_e &= ~bits.einc[v]
         root = rng.choice(terminals)
         assert extract_steiner_tree(
-            bits, smask, avail_v, avail_e, root
-        ) == reference_extract_steiner_tree(bits, smask, avail_v, avail_e, root)
+            bits, smask, avail_e, root
+        ) == reference_extract_steiner_tree(bits, smask, (1 << order) - 1, avail_e, root)
 
 
 def _suppressed(adj: dict[int, list[int]], terminal_ids: frozenset[int]) -> dict[int, list[int]]:
