@@ -31,13 +31,13 @@ class Tree:
 
     def __post_init__(self) -> None:
         vertices = tuple(sorted(self.vertices))
-        if len(set(vertices)) != len(vertices):
+        vset = set(vertices)
+        if len(vset) != len(vertices):
             raise ValueError(f"tree has repeated vertices: {vertices!r}")
         if not vertices:
             raise ValueError("tree must have at least one vertex")
         bound = vertices[-1] + 1
         edges = _canonical_edges(bound, self.edges)
-        vset = set(vertices)
         for u, v in edges:
             if u not in vset or v not in vset:
                 raise ValueError(f"tree edge ({u},{v}) has endpoint outside vertex set")

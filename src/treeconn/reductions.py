@@ -86,6 +86,13 @@ def matching_is_perfect(inst: ThreeDMInstance, matching: Matching) -> bool:
     return all(0 <= i < inst.m for i in matching.chosen)
 
 
+def _iterable(items: object, what: str) -> tuple:
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValueError(f"{what}: expected an iterable, got {items!r}") from None
+
+
 @dataclass(frozen=True)
 class CnfFormula:
     """CNF with at most three literals per clause.
@@ -101,7 +108,9 @@ class CnfFormula:
     def __post_init__(self) -> None:
         if not _is_int(self.num_vars) or self.num_vars < 0:
             raise ValueError(f"num_vars must be an int >= 0, got {self.num_vars!r}")
-        clauses = tuple(tuple(c) for c in self.clauses)
+        clauses = tuple(
+            _iterable(c, f"clause {pos}") for pos, c in enumerate(_iterable(self.clauses, "clauses"))
+        )
         for pos, clause in enumerate(clauses):
             if len(clause) > 3:
                 raise ValueError(f"clause {pos}: more than 3 literals")
@@ -130,7 +139,11 @@ class Assignment:
     values: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(bool(v) for v in self.values))
+        values = _iterable(self.values, "values")
+        for pos, value in enumerate(values):
+            if not isinstance(value, bool):
+                raise ValueError(f"value {pos}: expected a bool, got {value!r}")
+        object.__setattr__(self, "values", values)
 
 
 def assignment_satisfies(phi: CnfFormula, assignment: Assignment) -> bool:

@@ -193,10 +193,8 @@ def extract_steiner_tree(
 
 
 def tree_from_masks(bits: GraphBits, tree_e: int, tree_v: int) -> Tree:
-    return Tree(
-        tuple(iter_bits(tree_v)),
-        tuple(bits.edges[e] for e in iter_bits(tree_e)),
-    )
+    edges = bits.edges
+    return Tree(tuple(iter_bits(tree_v)), tuple([edges[e] for e in iter_bits(tree_e)]))
 
 
 # ---------------------------------------------------------------------------
@@ -243,30 +241,49 @@ class ReducedTopology:
     Terminals all carry one shared marker, so trees that differ only by
     which terminal sits where get the same code; anonymous branch vertices
     are interchangeable likewise.  The code is the reduced tree written
-    out from its centre (the lesser string when it has two), so a tree is
-    rooted at most twice, not at every vertex, and with no recursion.
+    out from its centre (the lesser string when it has two), in one peel
+    of its leaves and with no recursion.
     """
 
     code: str
 
 
-def _reduced_code(edges: Iterable[tuple[int, int]], terminal_ids: frozenset[int]) -> str:
+def _reduced_code(
+    edges: Iterable[tuple[int, int]], terminal_ids: frozenset[int], tree: Tree | None = None
+) -> str:
     """Canonical string of a tree given by its edges.
 
-    Non-terminals of degree 2 are suppressed first.  The reduced tree is
-    then rooted at each of its one or two centres, found by peeling leaves
-    layer by layer, and written bottom-up over a breadth-first order: a
-    vertex is `T` (terminal) or `*`, followed by its children's codes,
-    sorted, in parentheses.  The lesser of the one or two strings is the
-    code.  Isomorphisms map centres to centres, so two trees get equal
-    codes exactly when they are isomorphic with terminals onto terminals,
-    the same partition as taking the least string over every root.  A
+    If `tree` is given (the edges are its edges), it is first checked on
+    the adjacency built here: one edge fewer than vertices, and one sweep
+    from its first vertex reaches them all; only on failure does
+    `certificates._is_tree` run, to name the fault.  Non-terminals of
+    degree 2 are then suppressed and leaves peeled layer by layer down to
+    the one or two centres.  A peeled vertex is written as `T` (terminal)
+    or `*`, followed by the sorted codes of the vertices peeled into it,
+    in parentheses, and its code goes to its one neighbour still present.
+    One centre is written the same way; two are each written with the
+    other as an extra child, and the lesser string is the code.
+    Isomorphisms map centres to centres, so two trees get equal codes
+    exactly when they are isomorphic with terminals onto terminals, the
+    same partition as taking the least string over every root.  A
     non-terminal leaf raises ValueError naming the least one.
     """
     adj: dict[int, list[int]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
+    if tree is not None:
+        start = tree.vertices[0]
+        seen = {start}
+        queue = [start]
+        if len(tree.edges) == len(tree.vertices) - 1:
+            for v in queue:
+                for w in adj.get(v, ()):
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+        if len(queue) != len(tree.vertices):
+            raise ValueError(f"not a tree ({_is_tree(tree)})")
     # suppress non-terminal vertices of degree 2; in a tree this changes no
     # other vertex's degree, so one pass finds them all and no leaf changes
     for v in list(adj):
@@ -276,8 +293,10 @@ def _reduced_code(edges: Iterable[tuple[int, int]], terminal_ids: frozenset[int]
             adj[b].remove(v)
             adj[a].append(b)
             adj[b].append(a)
-    # peel leaves until one vertex or one edge is left: the centres
+    # peel leaves until one vertex or one edge is left: the centres; a
+    # peeled vertex gets degree 0 and its code goes to its one neighbour left
     degree = {v: len(nb) for v, nb in adj.items()}
+    kids: dict[int, list[str]] = {v: [] for v in adj}
     layer = [v for v, d in degree.items() if d <= 1]
     stray = [v for v in layer if v not in terminal_ids]
     if stray:
@@ -287,29 +306,26 @@ def _reduced_code(edges: Iterable[tuple[int, int]], terminal_ids: frozenset[int]
         left -= len(layer)
         peeled = []
         for v in layer:
-            for w in adj[v]:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    peeled.append(w)
-        layer = peeled
-    codes = []
-    for root in layer:
-        order = [root]
-        parent = {root: None}
-        for v in order:
-            for w in adj[v]:
-                if w != parent[v]:
-                    parent[w] = v
-                    order.append(w)
-        kids: dict[int, list[str]] = {v: [] for v in order}
-        for v in reversed(order):
             below = kids[v]
             below.sort()
             code = ("T(" if v in terminal_ids else "*(") + ",".join(below) + ")"
-            if v != root:
-                kids[parent[v]].append(code)
-        codes.append(code)
-    return min(codes)
+            degree[v] = 0
+            for w in adj[v]:
+                if degree[w]:
+                    kids[w].append(code)
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        peeled.append(w)
+                    break
+        layer = peeled
+
+    def written(v: int, *extra: str) -> str:
+        return ("T(" if v in terminal_ids else "*(") + ",".join(sorted([*kids[v], *extra])) + ")"
+
+    if len(layer) == 1:
+        return written(layer[0])
+    a, b = layer
+    return min(written(a, written(b)), written(b, written(a)))
 
 
 def classify_topology(tree: Tree, terminals: TerminalSet | list[int]) -> ReducedTopology:
@@ -319,13 +335,10 @@ def classify_topology(tree: Tree, terminals: TerminalSet | list[int]) -> Reduced
     """
     terminals = TerminalSet.of(terminals)
     sset = frozenset(terminals.members)
-    vset = tree.vertex_set
-    if sset - vset:
-        raise ValueError(f"tree does not contain terminals {sorted(sset - vset)}")
-    problem = _is_tree(tree)
-    if problem is not None:
-        raise ValueError(f"not a tree ({problem})")
-    return ReducedTopology(_reduced_code(tree.edges, sset))
+    missing = sset.difference(tree.vertices)
+    if missing:
+        raise ValueError(f"tree does not contain terminals {sorted(missing)}")
+    return ReducedTopology(_reduced_code(tree.edges, sset, tree))
 
 
 def count_topologies(graph: Graph, terminals: TerminalSet | list[int]) -> int:

@@ -58,6 +58,44 @@ def test_formula_rejects_non_int_values(num_vars, clauses, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "clauses, message",
+    [
+        ((5,), "clause 0: expected an iterable, got 5"),
+        (((1,), None), "clause 1: expected an iterable, got None"),
+        (None, "clauses: expected an iterable, got None"),
+        (7, "clauses: expected an iterable, got 7"),
+    ],
+)
+def test_formula_rejects_non_iterable_clauses(clauses, message):
+    with pytest.raises(ValueError) as err:
+        CnfFormula(2, clauses)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (("no", 0), "value 0: expected a bool, got 'no'"),
+        ((True, 0), "value 1: expected a bool, got 0"),
+        ((False, 1.0), "value 1: expected a bool, got 1.0"),
+        ((None,), "value 0: expected a bool, got None"),
+        (None, "values: expected an iterable, got None"),
+        (3, "values: expected an iterable, got 3"),
+    ],
+)
+def test_assignment_rejects_non_bool_values(values, message):
+    with pytest.raises(ValueError) as err:
+        Assignment(values)
+    assert str(err.value) == message
+
+
+def test_assignment_keeps_bools_as_a_tuple():
+    assert Assignment([True, False]).values == (True, False)
+    assert Assignment(iter((False,))).values == (False,)
+    assert Assignment(()).values == ()
+
+
 def test_construction_shape():
     phi = CnfFormula(3, ((1, 2, 3), (-1, -2, 3)))
     red = reduce_3sat(phi)

@@ -18,6 +18,7 @@ from treeconn import (
     path_graph,
 )
 from treeconn import steiner
+from treeconn.certificates import _is_tree
 from treeconn.generators import random_graph
 from treeconn.solver import _minimal_trees_by_subsets
 from treeconn.steiner import (
@@ -417,6 +418,114 @@ def reference_reduced_code(adj: dict[int, list[int]], terminal_ids: frozenset[in
     return min(rooted(v, None) for v in sorted(adj))
 
 
+def reference_centre_code(tree: Tree, terminals) -> str:
+    """`classify_topology` in two passes: the union-find tree check, then
+    a breadth-first search from each centre of the reduced tree to write
+    it.  The library checks the tree on the code's own adjacency and
+    writes each vertex as it is peeled; codes and error messages must be
+    byte-identical."""
+    sset = frozenset(terminals)
+    vset = tree.vertex_set
+    if sset - vset:
+        raise ValueError(f"tree does not contain terminals {sorted(sset - vset)}")
+    problem = _is_tree(tree)
+    if problem is not None:
+        raise ValueError(f"not a tree ({problem})")
+    adj = _adjacency(tree.edges)
+    for v in list(adj):
+        if v not in sset and len(adj[v]) == 2:
+            a, b = adj.pop(v)
+            adj[a].remove(v)
+            adj[b].remove(v)
+            adj[a].append(b)
+            adj[b].append(a)
+    degree = {v: len(nb) for v, nb in adj.items()}
+    layer = [v for v, d in degree.items() if d <= 1]
+    stray = [v for v in layer if v not in sset]
+    if stray:
+        raise ValueError(f"non-terminal leaf {min(stray)}")
+    left = len(adj)
+    while left > 2:
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    peeled.append(w)
+        layer = peeled
+    codes = []
+    for root in layer:
+        order = [root]
+        parent = {root: None}
+        for v in order:
+            for w in adj[v]:
+                if w != parent[v]:
+                    parent[w] = v
+                    order.append(w)
+        kids: dict[int, list[str]] = {v: [] for v in order}
+        for v in reversed(order):
+            below = kids[v]
+            below.sort()
+            code = ("T(" if v in sset else "*(") + ",".join(below) + ")"
+            if v != root:
+                kids[parent[v]].append(code)
+        codes.append(code)
+    return min(codes)
+
+
+def _classified(classify, tree: Tree, terminals) -> str:
+    """The code, or the ValueError message marked as such."""
+    try:
+        return classify(tree, terminals)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def _edge_sets(draw) -> tuple[Tree, tuple[int, ...]]:
+    """An arbitrary edge set over at most 8 vertices: often a tree (a
+    random parent per vertex), sometimes with one edge dropped or one
+    added, and terminals that usually lie in it."""
+    vertices = sorted(draw(st.lists(st.integers(0, 9), min_size=2, max_size=8, unique=True)))
+    edges = {(vertices[draw(st.integers(0, i - 1))], vertices[i]) for i in range(1, len(vertices))}
+    change = draw(st.sampled_from(["tree", "drop", "add", "any"]))
+    pairs = list(itertools.combinations(vertices, 2))
+    if change == "drop":
+        edges.discard(draw(st.sampled_from(sorted(edges))))
+    elif change == "add":
+        edges.add(draw(st.sampled_from(pairs)))
+    elif change == "any":
+        edges = set(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(vertices) + 1)))
+    pool = vertices if draw(st.booleans()) else list(range(10))
+    terminals = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=5, unique=True))
+    return Tree(tuple(vertices), tuple(sorted(edges))), tuple(terminals)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edge_sets())
+def test_classify_matches_two_pass_reference(case):
+    tree, terminals = case
+    assert _classified(
+        lambda t, s: classify_topology(t, s).code, tree, terminals
+    ) == _classified(reference_centre_code, tree, terminals)
+
+
+def test_k6_four_terminal_codes_are_pinned():
+    S = (0, 1, 2, 3)
+    trees = enumerate_steiner_trees(complete_graph(6), S, 20000).trees
+    codes = [classify_topology(t, S).code for t in trees]
+    assert codes == [reference_centre_code(t, S) for t in trees]
+    counts = {code: codes.count(code) for code in set(codes)}
+    assert counts == {
+        "T(T(),T(T()))": 228,
+        "*(T(),T(),T(T()))": 120,
+        "T(T(),T(),T())": 76,
+        "*(T(),T(),T(),T())": 10,
+        "*(*(T(),T()),T(),T())": 6,
+    }
+
+
 def _adjacency(edges) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {}
     for u, v in edges:
@@ -459,6 +568,8 @@ def test_reduced_code_partition_matches_reference(seed):
         edges, terminals = _random_steiner_tree(rng)
         new = _reduced_code(edges, terminals)
         ref = reference_reduced_code(_adjacency(edges), terminals)
+        tree = Tree(tuple({v for e in edges for v in e}), tuple(edges))
+        assert classify_topology(tree, terminals).code == reference_centre_code(tree, terminals) == new
         assert new_of_ref.setdefault(ref, new) == new
         assert ref_of_new.setdefault(new, ref) == ref
         moved, moved_terminals = _relabelled(rng, edges, terminals)
@@ -547,11 +658,22 @@ def test_classify_rejects_non_terminal_leaf():
             "not a tree (has 3 edges on 3 vertices, not a tree)",
         ),
         (Tree((0, 1), ((0, 1),)), (0, 1, 5, 6), "tree does not contain terminals [5, 6]"),
+        # five edges on six vertices with a cycle through the degree-2
+        # non-terminals 2..5: suppressing them before the tree check would
+        # raise KeyError
+        (
+            Tree((0, 1, 2, 3, 4, 5), ((0, 1), (2, 3), (3, 4), (4, 5), (2, 5))),
+            (0, 1),
+            "not a tree (contains a cycle through edge (4,5))",
+        ),
     ],
 )
 def test_classify_error_messages_are_exact(tree, terminals, message):
     with pytest.raises(ValueError) as err:
         classify_topology(tree, terminals)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        reference_centre_code(tree, terminals)
     assert str(err.value) == message
 
 
