@@ -33,6 +33,13 @@ from .graph import (
 # ---------------------------------------------------------------------------
 
 
+def _iterable(items: object, what: str) -> tuple:
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValueError(f"{what}: expected an iterable, got {items!r}") from None
+
+
 @dataclass(frozen=True)
 class ThreeDMInstance:
     """Ground sets U, V, W of size n and an ordered list of distinct triples.
@@ -48,7 +55,9 @@ class ThreeDMInstance:
     def __post_init__(self) -> None:
         if not _is_int(self.n) or self.n < 1:
             raise ValueError(f"ground set size must be an integer >= 1, got {self.n!r}")
-        triples = tuple(tuple(t) for t in self.triples)
+        triples = tuple(
+            _iterable(t, f"triple {pos}") for pos, t in enumerate(_iterable(self.triples, "triples"))
+        )
         for pos, t in enumerate(triples):
             if len(t) != 3:
                 raise ValueError(f"triple {pos}: expected 3 coordinates, got {t!r}")
@@ -73,24 +82,21 @@ class Matching:
     chosen: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "chosen", frozenset(self.chosen))
+        chosen = _iterable(self.chosen, "chosen")
+        for i in chosen:
+            if not _is_int(i):
+                raise ValueError(f"triple index must be an int, got {i!r}")
+        object.__setattr__(self, "chosen", frozenset(chosen))
 
 
 def matching_is_perfect(inst: ThreeDMInstance, matching: Matching) -> bool:
-    if len(matching.chosen) != inst.n:
+    if len(matching.chosen) != inst.n or not all(0 <= i < inst.m for i in matching.chosen):
         return False
     for axis in range(3):
         seen = {inst.triples[i][axis] for i in matching.chosen}
         if len(seen) != inst.n:
             return False
-    return all(0 <= i < inst.m for i in matching.chosen)
-
-
-def _iterable(items: object, what: str) -> tuple:
-    try:
-        return tuple(items)
-    except TypeError:
-        raise ValueError(f"{what}: expected an iterable, got {items!r}") from None
+    return True
 
 
 @dataclass(frozen=True)

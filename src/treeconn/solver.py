@@ -19,7 +19,9 @@ then upwards from L + 1 to the first refuted level.
 `decide_kappa_at_least` asks for the single level k, `kappa_set_exact`
 for every level from 1, and `kappa_k_graph` for each k-subset's levels up
 to the best value found so far, so after the first subset it mostly asks
-whether that value still packs.
+whether that value still packs.  Before that, `kappa_k_graph` screens each
+later subset with a greedy packing of that many trees from each of its
+terminals in turn and skips the subset once one of them packs them all.
 
 Each level packs inclusion-minimal Steiner trees one slot at a time.
 Within a packing each tree owns at least one edge at every terminal, so
@@ -425,8 +427,10 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
     """min over all k-subsets S of kappa(S), with one minimizing subset.
 
     Subsets are scanned in lexicographic order; later subsets only need to
-    be resolved below the best value seen so far, and those whose bounds
-    already pack that value cost no search.
+    be resolved below the best value seen so far.  Each later subset is
+    first screened by a greedy packing of that many trees from each of its
+    terminals in turn; like the bounds, the screen is not charged to the
+    budget, so a subset that one of them fills costs no expansion.
     """
     if not _is_int(k) or not 2 <= k <= graph.order:
         raise ValueError(f"k must be an int in [2, {graph.order}], got {k!r}")
@@ -436,6 +440,12 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
     argmin: tuple[int, ...] | None = None
     status = "exact"
     for combo in itertools.combinations(range(graph.order), k):
+        if best is not None:
+            # a greedy packing of `best` trees from any terminal shows
+            # kappa(S) >= best, so S cannot lower the minimum
+            smask = mask_of(combo)
+            if any(len(_greedy_packing(bits, smask, root, best)) == best for root in combo):
+                continue
         value, _, exact = _climb(bits, combo, 1, best, counter)
         if not exact:
             status = "upper-bound"

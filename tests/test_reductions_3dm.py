@@ -32,6 +32,53 @@ def test_instance_validation():
         ThreeDMInstance(2, ((0, 0, 0),))
 
 
+@pytest.mark.parametrize(
+    "triples, message",
+    [
+        ((5,), "triple 0: expected an iterable, got 5"),
+        (((0, 0, 0), None), "triple 1: expected an iterable, got None"),
+        (None, "triples: expected an iterable, got None"),
+        (7, "triples: expected an iterable, got 7"),
+    ],
+)
+def test_instance_rejects_non_iterable_triples(triples, message):
+    with pytest.raises(ValueError) as err:
+        ThreeDMInstance(1, triples)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "chosen, message",
+    [
+        (frozenset({True}), "triple index must be an int, got True"),
+        (frozenset({0.0}), "triple index must be an int, got 0.0"),
+        (("1",), "triple index must be an int, got '1'"),
+        (([0],), "triple index must be an int, got [0]"),
+        (None, "chosen: expected an iterable, got None"),
+    ],
+)
+def test_matching_rejects_non_int_indices(chosen, message):
+    with pytest.raises(ValueError) as err:
+        Matching(chosen)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("index", [1, 5, -1])
+def test_matching_is_perfect_rejects_out_of_range_indices(index):
+    inst = ThreeDMInstance(1, ((0, 0, 0),))
+    assert not matching_is_perfect(inst, Matching(frozenset({index})))
+    with pytest.raises(ValueError, match="matching"):
+        matching_to_trees(inst, Matching(frozenset({index})))
+
+
+def test_matching_is_perfect_does_not_wrap_negative_indices():
+    # -1 and -2 would index the two real triples, which match perfectly
+    inst = ThreeDMInstance(2, ((0, 0, 0), (1, 1, 1)))
+    assert matching_is_perfect(inst, Matching(frozenset({0, 1})))
+    assert not matching_is_perfect(inst, Matching(frozenset({-1, -2})))
+    assert not matching_is_perfect(inst, Matching(frozenset({0, -1})))
+
+
 def test_single_triple_construction():
     inst = ThreeDMInstance(1, ((0, 0, 0),))
     red = reduce_3dm(inst)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from treeconn import (
     Graph,
+    TerminalSet,
     brute_force_kappa,
     components,
     complete_graph,
@@ -23,7 +24,7 @@ from treeconn import (
 )
 from treeconn.certificates import TreeCertificate
 from treeconn.generators import random_connected_graph, random_graph, random_terminals
-from treeconn.solver import _bound, _greedy_packing, _remainder
+from treeconn.solver import KappaKResult, _Budget, _bound, _climb, _greedy_packing, _remainder
 from treeconn.steiner import GraphBits, iter_bits, iter_minimal_trees, mask_of, tree_from_masks
 
 
@@ -155,6 +156,25 @@ def test_kappa_k_budget_flag():
     assert kappa_set_exact(k6, r.subset).value == r.value
 
 
+def reference_kappa_k(graph: Graph, k: int, budget: int | None = None) -> KappaKResult:
+    """`kappa_k_graph` without the greedy screen: `_climb` on every subset."""
+    counter = _Budget(budget)
+    bits = GraphBits(graph)
+    best = argmin = None
+    status = "exact"
+    for combo in itertools.combinations(range(graph.order), k):
+        value, _, exact = _climb(bits, combo, 1, best, counter)
+        if not exact:
+            status = "upper-bound"
+            break
+        if best is None or value < best:
+            best, argmin = value, combo
+        if best == 0:
+            break
+    subset = TerminalSet(argmin) if argmin is not None else None
+    return KappaKResult(best, subset, status, counter.used)
+
+
 # Graphs on which the connectivity term of the packing search's prune vetoes
 # partial trees: what they would leave splits S.  A prune that missed such a
 # veto would still answer right (the next slot finds no tree), so only the
@@ -183,8 +203,34 @@ def test_connectivity_prune_expansions_are_pinned():
     assert (d.outcome, d.expansions) == ("certificate", 224)
     d = decide_kappa_at_least(_SPLIT_BY_PRUNE["order8"], (0, 2, 3, 4), 2)
     assert (d.outcome, d.expansions) == ("certificate", 13)
+    # the greedy screen skips most subsets; without the connectivity veto
+    # the subsets it leaves cost 20 expansions
     kk = kappa_k_graph(_SPLIT_BY_PRUNE["order7"], 3)
-    assert (kk.value, kk.subset.members, kk.expansions) == (2, (0, 1, 4), 85)
+    assert (kk.value, kk.subset.members, kk.expansions) == (2, (0, 1, 4), 14)
+    ref = reference_kappa_k(_SPLIT_BY_PRUNE["order7"], 3)
+    assert (ref.value, ref.subset.members, ref.expansions) == (2, (0, 1, 4), 85)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=4, max_value=8),
+    st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+)
+def test_kappa_k_screen_matches_reference(seed, order, p):
+    """The screen skips only subsets that cannot lower the minimum, so the
+    answer is the reference's and no subset costs more expansions."""
+    rng = random.Random(seed)
+    g = random_graph(rng, order, p)
+    k = rng.randint(2, min(5, order))
+    r = kappa_k_graph(g, k)
+    ref = reference_kappa_k(g, k)
+    assert (r.value, r.subset, r.status) == (ref.value, ref.subset, ref.status)
+    assert r.expansions <= ref.expansions
+    # every subset costs at most what the reference spends on it, so a
+    # budget the reference finishes in suffices
+    if ref.expansions:
+        assert kappa_k_graph(g, k, budget=ref.expansions) == r
 
 
 @settings(max_examples=40, deadline=None)
