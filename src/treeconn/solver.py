@@ -13,7 +13,8 @@ level search that first sandwiches kappa(S).  The upper bound U, computed
 by one routine for the whole graph and for every search node, is the
 least of the terminal degrees, |E| // (|S| - 1) and the flow bound below
 (exact for |S| = 2); the lower bound L is a greedy packing that extracts
-one Steiner tree after another.  Levels above U are refuted and levels up
+one Steiner tree after another, each inside S, else through one
+non-terminal, else anywhere.  Levels above U are refuted and levels up
 to L packed without search.  What is left is searched at the cap first,
 then upwards from L + 1 to the first refuted level.
 `decide_kappa_at_least` asks for the single level k, `kappa_set_exact`
@@ -21,7 +22,8 @@ for every level from 1, and `kappa_k_graph` for each k-subset's levels up
 to the best value found so far, so after the first subset it mostly asks
 whether that value still packs.  Before that, `kappa_k_graph` screens each
 later subset with a greedy packing of that many trees from each of its
-terminals in turn and skips the subset once one of them packs them all.
+terminals in turn and skips the subset once one of them packs them all;
+otherwise the level search reuses its anchor's screened packing.
 
 Each level packs inclusion-minimal Steiner trees one slot at a time.
 Within a packing each tree owns at least one edge at every terminal, so
@@ -266,13 +268,46 @@ def _remainder(bits: GraphBits, smask: int, avail_e: int, tree_e: int, tree_v: i
 def _greedy_packing(
     bits: GraphBits, smask: int, anchor: int, cap: int
 ) -> list[tuple[int, int]]:
-    """Up to `cap` trees, each extracted from what the earlier ones left."""
+    """Up to `cap` trees, each from what the earlier ones left.
+
+    A non-terminal takes every edge it has from the later trees, so each
+    tree is the first that exists of: a tree on the available edges inside
+    S; a tree on S plus one non-terminal, least available degree first
+    (then lowest id); the breadth-first tree on all available edges.  All
+    three are `extract_steiner_tree` on a narrower mask, skipped when the
+    mask has too few edges for a tree.
+    """
+    einc = bits.einc
+    evmask = bits.evmask
+    size = smask.bit_count()
+    at_s = inner_e = near_v = 0
+    for s in iter_bits(smask):
+        at_s |= einc[s]
+    for e in iter_bits(at_s):
+        outer = evmask[e] & ~smask
+        if outer:
+            near_v |= outer
+        else:
+            inner_e |= 1 << e
+    near = list(iter_bits(near_v))
     packing = []
     avail_e = bits.all_e
     while len(packing) < cap:
-        tree = extract_steiner_tree(bits, smask, avail_e, anchor)
+        inner = inner_e & avail_e
+        tree = None
+        if inner.bit_count() >= size - 1:
+            tree = extract_steiner_tree(bits, smask, inner, anchor)
         if tree is None:
-            break
+            for v in sorted(near, key=lambda v: ((einc[v] & avail_e).bit_count(), v)):
+                spokes = einc[v] & at_s & avail_e
+                if spokes.bit_count() >= 2 and (inner | spokes).bit_count() >= size:
+                    tree = extract_steiner_tree(bits, smask, inner | spokes, anchor)
+                    if tree is not None:
+                        break
+        if tree is None:
+            tree = extract_steiner_tree(bits, smask, avail_e, anchor)
+            if tree is None:
+                break
         packing.append(tree)
         avail_e = _remainder(bits, smask, avail_e, *tree)
     return packing
@@ -284,6 +319,7 @@ def _climb(
     lo: int,
     hi: int | None,
     counter: _Budget,
+    screened: dict[int, list[tuple[int, int]]] | None = None,
 ) -> tuple[int, list[tuple[int, int]] | None, bool]:
     """min(hi, kappa(S)), searching only the levels no bound settles.
 
@@ -293,7 +329,10 @@ def _climb(
     (value, packing, exact): value is the highest level packed, or lo - 1
     when no level from lo up can be packed; packing is None when value was
     not packed.  exact is False when the budget ran out, and value is then
-    a lower bound.  The bounds are not charged to the budget.
+    a lower bound.  The bounds are not charged to the budget.  `screened`,
+    when given, maps each terminal to its greedy packing of `hi` trees; the
+    greedy packing of the cap is a prefix of the anchor's, so it is not run
+    again.
     """
     smask = mask_of(terminals)
     # U <= the least terminal degree <= |E|, so |E| leaves U uncapped
@@ -304,7 +343,10 @@ def _climb(
     anchor = min(terminals, key=lambda s: (einc[s].bit_count(), s))
     value, packing = lo - 1, None
     if lo < cap:
-        greedy = _greedy_packing(bits, smask, anchor, cap)
+        if screened:
+            greedy = screened[anchor][:cap]
+        else:
+            greedy = _greedy_packing(bits, smask, anchor, cap)
         if len(greedy) == cap:
             return cap, greedy, True
         if len(greedy) >= lo:
@@ -440,13 +482,19 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
     argmin: tuple[int, ...] | None = None
     status = "exact"
     for combo in itertools.combinations(range(graph.order), k):
+        screened = None
         if best is not None:
             # a greedy packing of `best` trees from any terminal shows
             # kappa(S) >= best, so S cannot lower the minimum
             smask = mask_of(combo)
-            if any(len(_greedy_packing(bits, smask, root, best)) == best for root in combo):
+            screened = {}
+            for root in combo:
+                screened[root] = _greedy_packing(bits, smask, root, best)
+                if len(screened[root]) == best:
+                    break
+            if len(screened[root]) == best:
                 continue
-        value, _, exact = _climb(bits, combo, 1, best, counter)
+        value, _, exact = _climb(bits, combo, 1, best, counter, screened)
         if not exact:
             status = "upper-bound"
             break

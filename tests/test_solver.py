@@ -20,12 +20,20 @@ from treeconn import (
     kappa_set_exact,
     menger_pair,
     path_graph,
+    solver,
     verify_certificate,
 )
 from treeconn.certificates import TreeCertificate
 from treeconn.generators import random_connected_graph, random_graph, random_terminals
 from treeconn.solver import KappaKResult, _Budget, _bound, _climb, _greedy_packing, _remainder
-from treeconn.steiner import GraphBits, iter_bits, iter_minimal_trees, mask_of, tree_from_masks
+from treeconn.steiner import (
+    GraphBits,
+    extract_steiner_tree,
+    iter_bits,
+    iter_minimal_trees,
+    mask_of,
+    tree_from_masks,
+)
 
 
 def test_path_pair():
@@ -180,6 +188,11 @@ def reference_kappa_k(graph: Graph, k: int, budget: int | None = None) -> KappaK
 # veto would still answer right (the next slot finds no tree), so only the
 # expansion counts show it.
 _SPLIT_BY_PRUNE = {
+    "order9-kappa": Graph(9, (
+        (0, 2), (0, 5), (0, 6), (0, 7), (0, 8), (1, 4), (1, 6), (1, 7), (2, 3), (2, 4),
+        (2, 5), (2, 6), (2, 8), (3, 5), (3, 6), (3, 8), (4, 6), (4, 7), (4, 8), (5, 7),
+        (5, 8),
+    )),
     "order9": Graph(9, (
         (0, 1), (0, 3), (0, 7), (1, 2), (1, 3), (1, 4), (1, 5), (1, 8), (2, 5), (2, 6),
         (2, 7), (3, 4), (3, 6), (3, 7), (4, 5), (4, 7), (4, 8), (5, 6), (6, 7),
@@ -196,19 +209,20 @@ _SPLIT_BY_PRUNE = {
 
 
 def test_connectivity_prune_expansions_are_pinned():
-    g = _SPLIT_BY_PRUNE["order9"]
-    r = kappa_set_exact(g, (0, 2, 6, 7))
-    assert (r.value, r.status, r.expansions) == (3, "exact", 224)
-    d = decide_kappa_at_least(g, (0, 2, 6, 7), 3)
+    r = kappa_set_exact(_SPLIT_BY_PRUNE["order9-kappa"], (1, 3, 4, 7))
+    assert (r.value, r.status, r.expansions) == (3, "exact", 37)
+    # the greedy packs all three trees of (0, 2, 6, 7) in "order9", so only
+    # `decide`, which has no greedy packing to fall back on, searches there
+    d = decide_kappa_at_least(_SPLIT_BY_PRUNE["order9"], (0, 2, 6, 7), 3)
     assert (d.outcome, d.expansions) == ("certificate", 224)
     d = decide_kappa_at_least(_SPLIT_BY_PRUNE["order8"], (0, 2, 3, 4), 2)
     assert (d.outcome, d.expansions) == ("certificate", 13)
     # the greedy screen skips most subsets; without the connectivity veto
-    # the subsets it leaves cost 20 expansions
+    # the subsets it leaves cost 50 expansions
     kk = kappa_k_graph(_SPLIT_BY_PRUNE["order7"], 3)
-    assert (kk.value, kk.subset.members, kk.expansions) == (2, (0, 1, 4), 14)
+    assert (kk.value, kk.subset.members, kk.expansions) == (2, (0, 1, 4), 38)
     ref = reference_kappa_k(_SPLIT_BY_PRUNE["order7"], 3)
-    assert (ref.value, ref.subset.members, ref.expansions) == (2, (0, 1, 4), 85)
+    assert (ref.value, ref.subset.members, ref.expansions) == (2, (0, 1, 4), 55)
 
 
 @settings(max_examples=150, deadline=None)
@@ -260,21 +274,126 @@ def test_k6_spanning_tree_packing():
 
 
 def test_climb_refutes_a_level_between_greedy_and_bound():
-    # the bounds leave levels 3..5 open: the cap 5 fails, 3 packs, 4 is
+    # the bounds leave levels 2..4 open: the cap 4 fails, 2 packs, 3 is
     # refuted and ends the climb
-    g = Graph(8, (
-        (0, 1), (0, 4), (0, 5), (0, 6), (0, 7), (1, 3), (1, 7), (2, 3), (2, 5),
-        (2, 6), (3, 4), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7),
+    g = Graph(9, (
+        (0, 3), (0, 4), (0, 6), (0, 8), (1, 2), (1, 3), (1, 5), (1, 6), (2, 3),
+        (2, 4), (2, 7), (3, 7), (4, 5), (4, 6), (4, 7), (6, 8), (7, 8),
     ))
-    s = (0, 4, 5, 7)
+    s = (0, 1, 2, 3, 7)
     bits = GraphBits(g)
     smask = mask_of(s)
-    assert _bound(bits, smask, s, bits.all_e, g.edge_count, 1) == 5
-    assert len(_greedy_packing(bits, smask, 0, 5)) == 2
+    assert _bound(bits, smask, s, bits.all_e, g.edge_count, 1) == 4
+    assert len(_greedy_packing(bits, smask, 0, 4)) == 1
     result = kappa_set_exact(g, s)
-    assert (result.value, result.status) == (3, "exact")
-    assert brute_force_kappa(g, s) == 3
-    assert decide_kappa_at_least(g, s, 4).outcome == "refuted"
+    assert (result.value, result.status) == (2, "exact")
+    assert brute_force_kappa(g, s) == 2
+    assert decide_kappa_at_least(g, s, 3).outcome == "refuted"
+
+
+def reference_greedy_packing(
+    bits: GraphBits, smask: int, anchor: int, cap: int
+) -> list[tuple[int, int]]:
+    """`_greedy_packing` with only its last step: each tree is the
+    breadth-first tree on all the edges the earlier ones left."""
+    packing = []
+    avail_e = bits.all_e
+    while len(packing) < cap:
+        tree = extract_steiner_tree(bits, smask, avail_e, anchor)
+        if tree is None:
+            break
+        packing.append(tree)
+        avail_e = _remainder(bits, smask, avail_e, *tree)
+    return packing
+
+
+def _edge_mask(g: Graph, *pairs: tuple[int, int]) -> int:
+    return mask_of(g.edges.index(pair) for pair in pairs)
+
+
+def test_greedy_takes_a_tree_inside_s_first():
+    # the breadth-first tree from 1 is 1-0-3 plus 1-2, and its non-terminal
+    # 0 takes the star that a second tree needs
+    g = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))
+    bits = GraphBits(g)
+    smask = mask_of((1, 2, 3))
+    inside = (_edge_mask(g, (1, 2), (2, 3)), smask)
+    star = (_edge_mask(g, (0, 1), (0, 2), (0, 3)), 0b1111)
+    assert _greedy_packing(bits, smask, 1, 3) == [inside, star]
+    assert reference_greedy_packing(bits, smask, 1, 3) == [
+        (_edge_mask(g, (0, 1), (0, 3), (1, 2)), 0b1111)
+    ]
+
+
+def test_greedy_then_takes_one_non_terminal_of_least_degree():
+    # no edge lies inside S; 3, 4 and 5 each reach all of S, 3 has two more
+    # edges and 4 comes before 5 by id, while the breadth-first tree from 0
+    # runs through 3
+    g = Graph(8, (
+        (0, 3), (1, 3), (2, 3), (3, 6), (3, 7), (0, 4), (1, 4), (2, 4), (0, 5), (1, 5), (2, 5),
+    ))
+    bits = GraphBits(g)
+    smask = mask_of((0, 1, 2))
+    through = {v: (_edge_mask(g, (0, v), (1, v), (2, v)), smask | 1 << v) for v in (3, 4, 5)}
+    assert _greedy_packing(bits, smask, 0, 3) == [through[4], through[5], through[3]]
+    assert reference_greedy_packing(bits, smask, 0, 1) == [through[3]]
+
+
+def test_greedy_falls_back_to_the_breadth_first_tree(monkeypatch):
+    # the edge 0-1 inside S and the two edges of 3 leave 2 apart, so the
+    # tree takes the path 0-5-4-2 through two non-terminals
+    g = Graph(6, ((0, 1), (0, 3), (1, 3), (0, 5), (4, 5), (2, 4)))
+    bits = GraphBits(g)
+    smask = mask_of((0, 1, 2))
+    masks = []
+
+    def extract(bits, smask, avail_e, root):
+        masks.append(avail_e)
+        return extract_steiner_tree(bits, smask, avail_e, root)
+
+    monkeypatch.setattr(solver, "extract_steiner_tree", extract)
+    packing = _greedy_packing(bits, smask, 0, 2)
+    assert packing == [(_edge_mask(g, (0, 1), (0, 5), (4, 5), (2, 4)), smask | mask_of((4, 5)))]
+    # one inner edge is too few for step 1; 3 with its two edges into S is
+    # tried and fails; then the breadth-first tree.  For the second tree
+    # only the breadth-first step has edges enough, and S is split there
+    assert masks == [
+        _edge_mask(g, (0, 1), (0, 3), (1, 3)), bits.all_e, _edge_mask(g, (0, 3), (1, 3))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=4, max_value=9),
+    st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+)
+def test_greedy_rule_changes_no_answer(seed, order, p):
+    """The greedy packing only settles levels it fills, so with the
+    breadth-first greedy in its place every entry point answers alike.
+    A budget bounds the dense order-9 cases; where either side runs out,
+    the answers are not compared."""
+    rng = random.Random(seed)
+    g = random_graph(rng, order, p)
+    k = rng.randint(2, min(5, order))
+    s = random_terminals(rng, g, k)
+    budget = 20_000
+    value = kappa_set_exact(g, s, budget).value
+    levels = (max(value, 1), value + 1)
+
+    def answers():
+        r = kappa_set_exact(g, s, budget)
+        decided = [decide_kappa_at_least(g, s, lvl, budget).outcome for lvl in levels]
+        kk = kappa_k_graph(g, k, budget)
+        return [(r.value, r.status), decided, (kk.value, kk.subset, kk.status)]
+
+    thrifty = answers()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_greedy_packing", reference_greedy_packing)
+        breadth_first = answers()
+    for ours, ref in zip(thrifty, breadth_first):
+        if not {"lower-bound", "unknown", "upper-bound"} & {*ours, *ref}:
+            assert ours == ref
 
 
 def test_certificates_always_verify():
