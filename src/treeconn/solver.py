@@ -21,9 +21,10 @@ then upwards from L + 1 to the first refuted level.
 for every level from 1, and `kappa_k_graph` for each k-subset's levels up
 to the best value found so far, so after the first subset it mostly asks
 whether that value still packs.  Before that, `kappa_k_graph` screens each
-later subset with a greedy packing of that many trees from each of its
-terminals in turn and skips the subset once one of them packs them all;
-otherwise the level search reuses its anchor's screened packing.
+later subset and skips it once the screen shows that many trees: first by
+counting the stars through the non-terminals next to every terminal, plus
+a tree inside S, then by a greedy packing from each of its terminals in
+turn; otherwise the level search reuses its anchor's screened packing.
 
 Each level packs inclusion-minimal Steiner trees one slot at a time.
 Within a packing each tree owns at least one edge at every terminal, so
@@ -265,6 +266,35 @@ def _remainder(bits: GraphBits, smask: int, avail_e: int, tree_e: int, tree_v: i
     return avail_e
 
 
+def _edges_at(bits: GraphBits, smask: int) -> tuple[int, int]:
+    """The edges at some terminal, and those of them inside S: an edge at
+    a terminal that an earlier terminal also has joins the two."""
+    at_s = inner_e = 0
+    for s in iter_bits(smask):
+        inner_e |= bits.einc[s] & at_s
+        at_s |= bits.einc[s]
+    return at_s, inner_e
+
+
+def _star_count(bits: GraphBits, nbrs: list[int], smask: int, root: int, need: int) -> int:
+    """A lower bound on kappa(S) from stars, found without search.
+
+    The star through a non-terminal next to every terminal is a tree on S,
+    and a tree on the edges inside S meets no star outside S, so these
+    trees are internally disjoint.  The bound counts the stars, plus the
+    inner tree when the stars fall one short of `need` and the edges
+    inside S connect S (`nbrs[v]` is the mask of v's neighbours).
+    """
+    common = ~smask
+    for s in iter_bits(smask):
+        common &= nbrs[s]
+    count = common.bit_count()
+    if count + 1 == need:
+        if extract_steiner_tree(bits, smask, _edges_at(bits, smask)[1], root) is not None:
+            count += 1
+    return count
+
+
 def _greedy_packing(
     bits: GraphBits, smask: int, anchor: int, cap: int
 ) -> list[tuple[int, int]]:
@@ -280,16 +310,11 @@ def _greedy_packing(
     einc = bits.einc
     evmask = bits.evmask
     size = smask.bit_count()
-    at_s = inner_e = near_v = 0
-    for s in iter_bits(smask):
-        at_s |= einc[s]
-    for e in iter_bits(at_s):
-        outer = evmask[e] & ~smask
-        if outer:
-            near_v |= outer
-        else:
-            inner_e |= 1 << e
-    near = list(iter_bits(near_v))
+    at_s, inner_e = _edges_at(bits, smask)
+    near_v = 0
+    for e in iter_bits(at_s & ~inner_e):
+        near_v |= evmask[e]
+    near = list(iter_bits(near_v & ~smask))
     packing = []
     avail_e = bits.all_e
     while len(packing) < cap:
@@ -470,23 +495,31 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
 
     Subsets are scanned in lexicographic order; later subsets only need to
     be resolved below the best value seen so far.  Each later subset is
-    first screened by a greedy packing of that many trees from each of its
-    terminals in turn; like the bounds, the screen is not charged to the
-    budget, so a subset that one of them fills costs no expansion.
+    first screened by `_star_count`, then by a greedy packing of that many
+    trees from each of its terminals in turn; like the bounds, the screen
+    is not charged to the budget, so a subset that it settles costs no
+    expansion.
     """
     if not _is_int(k) or not 2 <= k <= graph.order:
         raise ValueError(f"k must be an int in [2, {graph.order}], got {k!r}")
     counter = _Budget(budget)
     bits = GraphBits(graph)
+    nbrs = [0] * graph.order
+    for u, v in graph.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
     best: int | None = None
     argmin: tuple[int, ...] | None = None
     status = "exact"
     for combo in itertools.combinations(range(graph.order), k):
         screened = None
         if best is not None:
-            # a greedy packing of `best` trees from any terminal shows
-            # kappa(S) >= best, so S cannot lower the minimum
+            # a star count, or a greedy packing from any terminal, that
+            # reaches `best` shows kappa(S) >= best, so S cannot lower the
+            # minimum
             smask = mask_of(combo)
+            if _star_count(bits, nbrs, smask, combo[0], best) >= best:
+                continue
             screened = {}
             for root in combo:
                 screened[root] = _greedy_packing(bits, smask, root, best)

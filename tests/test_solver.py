@@ -25,7 +25,15 @@ from treeconn import (
 )
 from treeconn.certificates import TreeCertificate
 from treeconn.generators import random_connected_graph, random_graph, random_terminals
-from treeconn.solver import KappaKResult, _Budget, _bound, _climb, _greedy_packing, _remainder
+from treeconn.solver import (
+    KappaKResult,
+    _Budget,
+    _bound,
+    _climb,
+    _greedy_packing,
+    _remainder,
+    _star_count,
+)
 from treeconn.steiner import (
     GraphBits,
     extract_steiner_tree,
@@ -245,6 +253,71 @@ def test_kappa_k_screen_matches_reference(seed, order, p):
     # budget the reference finishes in suffices
     if ref.expansions:
         assert kappa_k_graph(g, k, budget=ref.expansions) == r
+
+
+
+@pytest.mark.parametrize("n, value, expansions", [(6, 4, 49), (7, 5, 123), (8, 6, 293)])
+def test_star_count_settles_every_later_subset_of_a_complete_graph(
+    monkeypatch, n, value, expansions
+):
+    """kappa_3(K_n) = n - ceil(3/2) (Chartrand, Okamoto and Zhang, Networks
+    2010).  The first subset sets the best value n - 2; every later one has
+    n - 3 common neighbours and a triangle inside S, so the only greedy
+    packing is the first subset's in `_climb`."""
+    calls = []
+
+    def greedy(*args):
+        calls.append(args)
+        return _greedy_packing(*args)
+
+    monkeypatch.setattr(solver, "_greedy_packing", greedy)
+    r = kappa_k_graph(complete_graph(n), 3)
+    assert (r.value, r.subset.members, r.status) == (value, (0, 1, 2), "exact")
+    assert r.expansions == expansions
+    assert len(calls) == 1
+
+
+def _neighbour_masks(g: Graph) -> list[int]:
+    nbrs = [0] * g.order
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    return nbrs
+
+
+def test_star_count_adds_the_inner_tree_only_one_short_of_need():
+    # 3 and 4 reach all of S = {0, 1, 2}, 5 misses 2; the path 0-1-2 lies
+    # inside S, so there are three trees, the third counted only when it
+    # settles need
+    g = Graph(6, (
+        (0, 1), (1, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4), (0, 5), (1, 5),
+    ))
+    bits, nbrs, smask = GraphBits(g), _neighbour_masks(g), mask_of((0, 1, 2))
+    assert [_star_count(bits, nbrs, smask, 0, need) for need in range(5)] == [2, 2, 2, 3, 2]
+    assert brute_force_kappa(g, (0, 1, 2)) == 3
+    # without the edge 1-2 the edges inside S leave 2 apart
+    g = Graph(6, tuple(e for e in g.edges if e != (1, 2)))
+    bits = GraphBits(g)
+    assert _star_count(bits, _neighbour_masks(g), smask, 0, 3) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=2, max_value=7),
+    st.sampled_from([0.3, 0.45, 0.55]),
+)
+def test_star_count_never_exceeds_kappa(seed, order, p):
+    """The stars and the inner tree are internally disjoint trees on S, so
+    for any `need` their count is at most kappa(S).  The oracle stalls on
+    denser graphs of order 8, hence order <= 7 and p <= 0.55."""
+    rng = random.Random(seed)
+    g = random_graph(rng, order, p)
+    s = random_terminals(rng, g, rng.randint(2, min(5, order))).members
+    bits, nbrs, smask = GraphBits(g), _neighbour_masks(g), mask_of(s)
+    value = brute_force_kappa(g, s)
+    for need in range(order + 2):
+        assert _star_count(bits, nbrs, smask, s[0], need) <= value
 
 
 @settings(max_examples=40, deadline=None)
