@@ -17,7 +17,7 @@ from .graph import (
     GraphFormatError,
     TerminalSet,
     _canonical_edges,
-    _check_vertex_id,
+    _is_int,
     load_json,
 )
 
@@ -30,19 +30,39 @@ class Tree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        for v in self.vertices:
+            if not _is_int(v) or v < 0:
+                raise ValueError(f"invalid tree vertex id {v!r}")
         vertices = tuple(sorted(self.vertices))
         vset = set(vertices)
         if len(vset) != len(vertices):
             raise ValueError(f"tree has repeated vertices: {vertices!r}")
         if not vertices:
             raise ValueError("tree must have at least one vertex")
-        bound = vertices[-1] + 1
-        edges = _canonical_edges(bound, self.edges)
-        for u, v in edges:
-            if u not in vset or v not in vset:
-                raise ValueError(f"tree edge ({u},{v}) has endpoint outside vertex set")
+        edges = _canonical_edges(vertices[-1] + 1, self.edges, vset)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
+
+    @classmethod
+    def _from_canonical(
+        cls, vertices: tuple[int, ...], edges: tuple[tuple[int, int], ...]
+    ) -> "Tree":
+        """A tree from fields already in the form `__post_init__` gives them.
+
+        Nothing is checked.  The caller guarantees: `vertices` ascending,
+        unique and non-negative; `edges` canonical `(min, max)` pairs,
+        sorted and unique; every endpoint one of `vertices`.
+        `steiner.tree_from_masks` is the only caller: every mask pair from
+        the enumerator, the extractor and the greedy packing lists its
+        vertex bits in ascending order and its edge bits as `graph.edges`
+        entries in index order, and `Graph` keeps those canonical and
+        sorted.  `tests/test_certificates.py` pins this against the
+        validated constructor.
+        """
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "vertices", vertices)
+        object.__setattr__(tree, "edges", edges)
+        return tree
 
     @property
     def vertex_set(self) -> frozenset[int]:
@@ -152,8 +172,6 @@ def certificate_from_obj(obj: object) -> TreeCertificate:
         edges = raw.get("edges", [])
         if not isinstance(vertices, list) or not isinstance(edges, list):
             raise GraphFormatError(f"{where}: 'vertices' and 'edges' must be lists")
-        for v in vertices:
-            _check_vertex_id(v, where)
         try:
             trees.append(Tree(tuple(vertices), tuple(edges)))
         except ValueError as exc:

@@ -36,11 +36,12 @@ def _check_vertex_id(value: object, where: str) -> int:
 
 
 def _canonical_edges(
-    order: int, edges: Iterable[Sequence[int]]
+    order: int, edges: Iterable[Sequence[int]], members: set[int] | None = None
 ) -> tuple[tuple[int, int], ...]:
+    """Sorted (min, max) pairs; endpoints lie in `members` if given, else below `order`."""
     seen: set[tuple[int, int]] = set()
     out: list[tuple[int, int]] = []
-    # every parsed graph and every Tree passes through here, so the "edge N"
+    # every parsed graph and every validated Tree passes through here, so the "edge N"
     # label is formatted only when an edge is rejected
     for pos, edge in enumerate(edges):
         try:
@@ -52,10 +53,13 @@ def _canonical_edges(
             v = _check_vertex_id(v, f"edge {pos}")
         if u == v:
             raise GraphFormatError(f"edge {pos}: self-loop ({u},{v})")
-        if not (0 <= u < order and 0 <= v < order):
-            raise GraphFormatError(
-                f"edge {pos}: endpoint out of range for order {order}: ({u},{v})"
-            )
+        if members is None:
+            if not (0 <= u < order and 0 <= v < order):
+                raise GraphFormatError(
+                    f"edge {pos}: endpoint out of range for order {order}: ({u},{v})"
+                )
+        elif u not in members or v not in members:
+            raise GraphFormatError(f"tree edge ({u},{v}) has endpoint outside vertex set")
         key = (u, v) if u < v else (v, u)
         if key in seen:
             raise GraphFormatError(f"edge {pos}: duplicate edge {key}")

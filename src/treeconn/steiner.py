@@ -194,7 +194,9 @@ def extract_steiner_tree(
 
 def tree_from_masks(bits: GraphBits, tree_e: int, tree_v: int) -> Tree:
     edges = bits.edges
-    return Tree(tuple(iter_bits(tree_v)), tuple([edges[e] for e in iter_bits(tree_e)]))
+    return Tree._from_canonical(
+        tuple(iter_bits(tree_v)), tuple([edges[e] for e in iter_bits(tree_e)])
+    )
 
 
 # ---------------------------------------------------------------------------

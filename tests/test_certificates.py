@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeconn import (
     Tree,
     TreeCertificate,
     complete_graph,
     cycle_graph,
+    enumerate_steiner_trees,
+    kappa_set_exact,
     parse_certificate,
     path_graph,
     serialize_certificate,
     verify_certificate,
 )
+from treeconn.generators import random_graph
 
 
 def tree(vertices, edges) -> Tree:
@@ -96,6 +103,50 @@ def test_tree_constructor_rejects_malformed():
         tree((0, 1), [(0, 2)])
     with pytest.raises(ValueError):
         tree((0, 0, 1), [(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ((0.5, 1), (), "invalid tree vertex id 0.5"),
+        ((True, 2), (), "invalid tree vertex id True"),
+        (("a", "b"), (), "invalid tree vertex id 'a'"),
+        ((0, 1.0), ((0, 1),), "invalid tree vertex id 1.0"),
+        ((-1, 0), (), "invalid tree vertex id -1"),
+        ((0, 1), ((0, 2),), r"tree edge \(0,2\) has endpoint outside vertex set"),
+        ((0, 1), ((0, -1),), r"tree edge \(0,-1\) has endpoint outside vertex set"),
+    ],
+    ids=["float", "bool", "str", "float-with-edge", "negative", "edge-above", "edge-negative"],
+)
+def test_tree_constructor_rejects_bad_vertex_ids(vertices, edges, message):
+    with pytest.raises(ValueError, match=message):
+        Tree(vertices, edges)
+
+
+@st.composite
+def steiner_instances(draw):
+    order = draw(st.integers(min_value=2, max_value=10))
+    p = draw(st.floats(min_value=0.2, max_value=0.8))
+    graph = random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), order, p)
+    size = draw(st.integers(min_value=2, max_value=min(5, order)))
+    terminals = draw(
+        st.lists(st.integers(0, order - 1), min_size=size, max_size=size, unique=True)
+    )
+    return graph, terminals
+
+
+@settings(max_examples=60, deadline=None)
+@given(steiner_instances())
+def test_trees_built_from_masks_are_canonical(instance):
+    # steiner.tree_from_masks skips Tree's validation; each tree it builds
+    # must equal the validated one and survive a certificate round trip
+    graph, terminals = instance
+    trees = enumerate_steiner_trees(graph, terminals, limit=300).trees
+    trees += kappa_set_exact(graph, terminals, budget=3000).certificate.trees
+    for t in trees:
+        assert t == Tree(t.vertices, t.edges)
+    cert = TreeCertificate(trees)
+    assert parse_certificate(serialize_certificate(cert)) == cert
 
 
 def test_certificate_json_round_trip():

@@ -81,6 +81,14 @@ def test_verify_invalid_exits_one(k4_file, tmp_path):
     assert main(["verify", "--graph", k4_file, "--terminals", "0,1,2,3", "--cert", str(bad)]) == 1
 
 
+def test_verify_negative_vertex_id_is_an_error(k4_file, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"trees": [{"vertices": [-1, 0, 1], "edges": [[0, 1]]}]}')
+    args = ["verify", "--graph", k4_file, "--terminals", "0,1", "--cert", str(cert)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_malformed_json_is_an_error_not_a_traceback(k4_file, tmp_path, capsys):
     cert = tmp_path / "cert.json"
     cert.write_text('{"trees": 5}')
