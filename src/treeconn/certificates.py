@@ -17,7 +17,8 @@ from .graph import (
     GraphFormatError,
     TerminalSet,
     _canonical_edges,
-    _is_int,
+    _iterable,
+    _vertex_ids,
     load_json,
 )
 
@@ -30,16 +31,13 @@ class Tree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        for v in self.vertices:
-            if not _is_int(v) or v < 0:
-                raise ValueError(f"invalid tree vertex id {v!r}")
-        vertices = tuple(sorted(self.vertices))
+        vertices = _vertex_ids(self.vertices, "tree vertex")
         vset = set(vertices)
         if len(vset) != len(vertices):
             raise ValueError(f"tree has repeated vertices: {vertices!r}")
         if not vertices:
             raise ValueError("tree must have at least one vertex")
-        edges = _canonical_edges(vertices[-1] + 1, self.edges, vset)
+        edges = _canonical_edges(vertices[-1] + 1, _iterable(self.edges, "tree edges"), vset)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
 
@@ -74,7 +72,11 @@ class TreeCertificate:
     trees: tuple[Tree, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trees", tuple(self.trees))
+        trees = _iterable(self.trees, "trees")
+        for pos, tree in enumerate(trees):
+            if not isinstance(tree, Tree):
+                raise ValueError(f"tree {pos}: expected a Tree, got {tree!r}")
+        object.__setattr__(self, "trees", trees)
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -114,9 +116,7 @@ def verify_certificate(
     graph: Graph, terminals: TerminalSet | Iterable[int], cert: TreeCertificate
 ) -> VerifyReport:
     """Check every certificate condition; failures are report content, not errors."""
-    terminals = TerminalSet.of(terminals)
-    terminals.validate_in(graph)
-    sset = set(terminals.members)
+    sset = set(TerminalSet.of(terminals).validate_in(graph).members)
     graph_edges = frozenset(graph.edges)
     violations: list[str] = []
 

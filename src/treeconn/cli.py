@@ -76,6 +76,10 @@ def _load_graph(path: str) -> Graph:
     return parse_graph(Path(path).read_text())
 
 
+def _load_instance(args) -> tuple[Graph, TerminalSet]:
+    return _load_graph(args.graph), parse_terminals(args.terminals)
+
+
 def _emit(args, obj: dict, human_lines: list[str]) -> None:
     if getattr(args, "json", False):
         print(json.dumps(obj, sort_keys=True))
@@ -114,8 +118,7 @@ def _reduced_summary(args, inst: ReducedInstance) -> None:
 
 
 def cmd_kappa(args) -> int:
-    graph = _load_graph(args.graph)
-    terminals = parse_terminals(args.terminals)
+    graph, terminals = _load_instance(args)
     result = kappa_set_exact(graph, terminals, args.budget)
     lines = [
         f"kappa = {result.value} ({result.status})",
@@ -140,8 +143,7 @@ def cmd_kappa_k(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    graph = _load_graph(args.graph)
-    terminals = parse_terminals(args.terminals)
+    graph, terminals = _load_instance(args)
     result = decide_kappa_at_least(graph, terminals, args.k, args.budget)
     lines = [f"decision: {result.outcome}", f"expansions = {result.expansions}"]
     if result.certificate is not None and args.out:
@@ -153,8 +155,7 @@ def cmd_decide(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    graph = _load_graph(args.graph)
-    terminals = parse_terminals(args.terminals)
+    graph, terminals = _load_instance(args)
     cert = parse_certificate(Path(args.cert).read_text())
     report = verify_certificate(graph, terminals, cert)
     obj = {"valid": report.valid, "violations": list(report.violations)}
@@ -176,16 +177,14 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    graph = _load_graph(args.graph)
-    terminals = parse_terminals(args.terminals)
+    graph, terminals = _load_instance(args)
     reduced = lift_terminals(graph, terminals, args.k1, args.k2)
     _reduced_summary(args, reduced)
     return EXIT_OK
 
 
 def cmd_pad(args) -> int:
-    graph = _load_graph(args.graph)
-    terminals = parse_terminals(args.terminals)
+    graph, terminals = _load_instance(args)
     reduced = pad_tree_count(graph, terminals, args.k)
     _reduced_summary(args, reduced)
     return EXIT_OK
@@ -220,8 +219,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    graph = _load_graph(args.graph)
-    terminals = parse_terminals(args.terminals)
+    graph, terminals = _load_instance(args)
     result = enumerate_steiner_trees(graph, terminals, args.limit)
     counts: dict[str, int] = {}
     for tree in result.trees:
@@ -320,6 +318,11 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_instance(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--graph", required=True)
+    parser.add_argument("--terminals", required=True, help="comma-separated vertex ids")
+
+
 def _add_common(parser: argparse.ArgumentParser, out_help: str) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--out", help=out_help)
@@ -342,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kappa", help="compute kappa(S) exactly")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--terminals", required=True, help="comma-separated vertex ids")
+    _add_instance(p)
     _add_budget(p)
     _add_common(p, "write the witnessing certificate JSON here")
     p.set_defaults(func=cmd_kappa)
@@ -356,16 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kappa_k)
 
     p = sub.add_parser("decide", help="decide kappa(S) >= k")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--terminals", required=True)
+    _add_instance(p)
     p.add_argument("--k", type=int, required=True)
     _add_budget(p)
     _add_common(p, "write the certificate JSON here when found")
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("verify", help="verify a tree certificate")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--terminals", required=True)
+    _add_instance(p)
     p.add_argument("--cert", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
@@ -379,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("lift", help="grow the terminal set to k1, threshold k2")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--terminals", required=True)
+    _add_instance(p)
     p.add_argument("--k1", type=int, required=True)
     p.add_argument("--k2", type=int, required=True)
     p.add_argument("--dot")
@@ -388,8 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("pad", help="raise the threshold from 2 to k with pad vertices")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--terminals", required=True)
+    _add_instance(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--dot")
     _add_common(p, "write the reduced instance JSON here")
@@ -430,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("classify", help="topology classes of minimal Steiner trees")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--terminals", required=True)
+    _add_instance(p)
     p.add_argument("--limit", type=int, default=100000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)

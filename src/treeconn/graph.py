@@ -29,6 +29,22 @@ def _decimal(token: str, signed: bool = False) -> int:
     return int(token)
 
 
+def _iterable(items: object, what: str) -> tuple:
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValueError(f"{what}: expected an iterable, got {items!r}") from None
+
+
+def _vertex_ids(items: object, what: str) -> tuple[int, ...]:
+    """`items` sorted, after checking that each is a non-negative int."""
+    ids = _iterable(items, f"{what} ids")
+    for v in ids:
+        if not _is_int(v) or v < 0:
+            raise ValueError(f"invalid {what} id {v!r}")
+    return tuple(sorted(ids))
+
+
 def _check_vertex_id(value: object, where: str) -> int:
     if not _is_int(value):
         raise GraphFormatError(f"{where}: vertex id must be an integer, got {value!r}")
@@ -141,21 +157,16 @@ class TerminalSet:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        members = tuple(sorted(self.members))
+        members = _vertex_ids(self.members, "terminal")
         if len(members) < 2:
             raise ValueError(f"terminal set needs at least 2 members, got {members!r}")
         if len(set(members)) != len(members):
             raise ValueError(f"terminal set has repeated members: {members!r}")
-        for v in members:
-            if not _is_int(v) or v < 0:
-                raise ValueError(f"invalid terminal id {v!r}")
         object.__setattr__(self, "members", members)
 
     @classmethod
     def of(cls, ids: "TerminalSet | Iterable[int]") -> "TerminalSet":
-        if isinstance(ids, TerminalSet):
-            return ids
-        return cls(tuple(ids))
+        return ids if isinstance(ids, TerminalSet) else cls(ids)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -166,11 +177,12 @@ class TerminalSet:
     def __contains__(self, v: object) -> bool:
         return v in self.members
 
-    def validate_in(self, graph: Graph) -> None:
+    def validate_in(self, graph: Graph) -> "TerminalSet":
         if self.members[-1] >= graph.order:
             raise ValueError(
                 f"terminal {self.members[-1]} out of range for order {graph.order}"
             )
+        return self
 
 
 def parse_terminals(text: str) -> TerminalSet:
@@ -258,9 +270,7 @@ def export_dot(graph: Graph, terminals: TerminalSet | None = None) -> str:
     """Deterministic DOT rendering; terminal vertices are drawn filled."""
     term: frozenset[int] = frozenset()
     if terminals is not None:
-        terminals = TerminalSet.of(terminals)
-        terminals.validate_in(graph)
-        term = frozenset(terminals.members)
+        term = frozenset(TerminalSet.of(terminals).validate_in(graph).members)
     lines = ["graph {"]
     for v in range(graph.order):
         attrs = []

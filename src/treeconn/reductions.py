@@ -19,9 +19,9 @@ from .graph import (
     Graph,
     GraphFormatError,
     TerminalSet,
-    _check_vertex_id,
     _decimal,
     _is_int,
+    _iterable,
     graph_from_obj,
     graph_to_obj,
     load_json,
@@ -31,13 +31,6 @@ from .graph import (
 # ---------------------------------------------------------------------------
 # Source-problem instances
 # ---------------------------------------------------------------------------
-
-
-def _iterable(items: object, what: str) -> tuple:
-    try:
-        return tuple(items)
-    except TypeError:
-        raise ValueError(f"{what}: expected an iterable, got {items!r}") from None
 
 
 @dataclass(frozen=True)
@@ -206,8 +199,6 @@ def reduced_from_obj(obj: object) -> ReducedInstance:
     terminals, threshold, roles = obj["terminals"], obj["threshold"], obj["roles"]
     if not isinstance(terminals, list):
         raise GraphFormatError("'terminals' must be a list")
-    for v in terminals:
-        _check_vertex_id(v, "terminals")
     if not _is_int(threshold):
         raise GraphFormatError(f"'threshold' must be an integer, got {threshold!r}")
     if not isinstance(roles, dict) or not all(
@@ -221,13 +212,22 @@ def reduced_from_obj(obj: object) -> ReducedInstance:
             if v in by_id:
                 raise ValueError(f"vertex {v} has two roles")
             by_id[v] = role
-        return ReducedInstance(graph, TerminalSet(tuple(terminals)), threshold, by_id)
+        return ReducedInstance(graph, TerminalSet(terminals), threshold, by_id)
     except ValueError as exc:
         raise GraphFormatError(f"invalid reduced instance: {exc}") from exc
 
 
 def parse_reduced(text: str) -> ReducedInstance:
     return reduced_from_obj(load_json(text))
+
+
+def _check_certificate(reduced: ReducedInstance, cert: TreeCertificate) -> None:
+    """Raise ValueError unless `cert` is a valid packing of `reduced.threshold` trees."""
+    if len(cert.trees) != reduced.threshold:
+        raise ValueError(f"certificate has {len(cert.trees)} trees, expected {reduced.threshold}")
+    report = verify_certificate(reduced.graph, reduced.terminals, cert)
+    if not report.valid:
+        raise ValueError(f"invalid certificate: {report.violations[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -259,38 +259,30 @@ def reduce_3dm(inst: ThreeDMInstance) -> ReducedInstance:
     order = 4 + 3 * n + m + (m - n)
     edges: list[tuple[int, int]] = []
     labels: list[str | None] = [None] * order
-    roles: dict[int, str] = {
-        hub_u: "hub-u",
-        hub_v: "hub-v",
-        hub_w: "hub-w",
-        hub_t: "hub-t",
-    }
-    labels[hub_u], labels[hub_v], labels[hub_w], labels[hub_t] = (
-        "hub_u",
-        "hub_v",
-        "hub_w",
-        "hub_t",
-    )
+    roles: dict[int, str] = {}
+
+    def vertex(v: int, role: str, label: str) -> None:
+        roles[v], labels[v] = role, label
+
+    vertex(hub_u, "hub-u", "hub_u")
+    vertex(hub_v, "hub-v", "hub_v")
+    vertex(hub_w, "hub-w", "hub_w")
+    vertex(hub_t, "hub-t", "hub_t")
     for i in range(n):
         edges.append((hub_u, u0 + i))
         edges.append((hub_v, v0 + i))
         edges.append((hub_w, w0 + i))
-        roles[u0 + i] = f"element-u({i})"
-        roles[v0 + i] = f"element-v({i})"
-        roles[w0 + i] = f"element-w({i})"
-        labels[u0 + i] = f"u{i}"
-        labels[v0 + i] = f"v{i}"
-        labels[w0 + i] = f"w{i}"
+        vertex(u0 + i, f"element-u({i})", f"u{i}")
+        vertex(v0 + i, f"element-v({i})", f"v{i}")
+        vertex(w0 + i, f"element-w({i})", f"w{i}")
     for i in range(m):
         edges.append((hub_t, t0 + i))
-        roles[t0 + i] = f"triple({i})"
-        labels[t0 + i] = f"t{i}"
+        vertex(t0 + i, f"triple({i})", f"t{i}")
     for j in range(m - n):
         edges.append((hub_u, a0 + j))
         edges.append((hub_v, a0 + j))
         edges.append((hub_w, a0 + j))
-        roles[a0 + j] = f"slack({j})"
-        labels[a0 + j] = f"a{j}"
+        vertex(a0 + j, f"slack({j})", f"a{j}")
     for i in range(m):
         for j in range(m - n):
             edges.append((t0 + i, a0 + j))
@@ -357,12 +349,7 @@ def trees_to_matching(inst: ThreeDMInstance, cert: TreeCertificate) -> Matching:
     The n trees that avoid every slack vertex each contain exactly one
     triple vertex; those triples form the matching.
     """
-    reduced = reduce_3dm(inst)
-    if len(cert.trees) != inst.m:
-        raise ValueError(f"certificate has {len(cert.trees)} trees, expected {inst.m}")
-    report = verify_certificate(reduced.graph, reduced.terminals, cert)
-    if not report.valid:
-        raise ValueError(f"invalid certificate: {report.violations[0]}")
+    _check_certificate(reduce_3dm(inst), cert)
     _, _, _, _, _, _, _, t0, a0 = _3dm_ids(inst)
     t_range = range(t0, t0 + inst.m)
     a_range = range(a0, a0 + inst.m - inst.n)
@@ -448,20 +435,20 @@ def reduce_3sat(phi: CnfFormula, require_three: bool = False) -> ReducedInstance
     order = 3 * n + m + 1
     edges: list[tuple[int, int]] = []
     labels: list[str | None] = [None] * order
-    roles: dict[int, str] = {apex: "apex"}
-    labels[apex] = "a"
+    roles: dict[int, str] = {}
+
+    def vertex(v: int, role: str, label: str) -> None:
+        roles[v], labels[v] = role, label
+
+    vertex(apex, "apex", "a")
     for i in range(n):
         edges.append((hat0 + i, pos0 + i))
         edges.append((hat0 + i, neg0 + i))
-        roles[hat0 + i] = f"var-hat({i})"
-        roles[pos0 + i] = f"var-pos({i})"
-        roles[neg0 + i] = f"var-neg({i})"
-        labels[hat0 + i] = f"hx{i}"
-        labels[pos0 + i] = f"x{i}"
-        labels[neg0 + i] = f"nx{i}"
+        vertex(hat0 + i, f"var-hat({i})", f"hx{i}")
+        vertex(pos0 + i, f"var-pos({i})", f"x{i}")
+        vertex(neg0 + i, f"var-neg({i})", f"nx{i}")
     for j, clause in enumerate(phi.clauses):
-        roles[c0 + j] = f"clause({j})"
-        labels[c0 + j] = f"c{j}"
+        vertex(c0 + j, f"clause({j})", f"c{j}")
         for lit in clause:
             var = abs(lit) - 1
             edges.append(((pos0 if lit > 0 else neg0) + var, c0 + j))
@@ -542,12 +529,7 @@ def trees_to_assignment(phi: CnfFormula, cert: TreeCertificate) -> Assignment:
     variable selector keeps exactly one of its two literal vertices, and
     those memberships are the assignment.
     """
-    reduced = reduce_3sat(phi)
-    if len(cert.trees) != 2:
-        raise ValueError(f"certificate has {len(cert.trees)} trees, expected 2")
-    report = verify_certificate(reduced.graph, reduced.terminals, cert)
-    if not report.valid:
-        raise ValueError(f"invalid certificate: {report.violations[0]}")
+    _check_certificate(reduce_3sat(phi), cert)
     apex, hat0, pos0, neg0, c0 = _3sat_ids(phi)
     tree = next((t for t in cert.trees if apex not in t.vertex_set), None)
     if tree is None:
@@ -665,6 +647,19 @@ def write_dimacs(phi: CnfFormula) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _grown(
+    graph: Graph, new_roles: dict[int, str], new_edges: list, terminals: TerminalSet, k: int
+) -> ReducedInstance:
+    """`graph` plus the vertices of `new_roles` (ids from graph.order up)
+    and `new_edges`, with threshold `k`.  Each original vertex keeps its
+    edges and label and gets the role original(v); each new one gets no label."""
+    roles = {v: f"original({v})" for v in range(graph.order)}
+    roles.update(new_roles)
+    labels = None if graph.labels is None else graph.labels + (None,) * len(new_roles)
+    grown = Graph(graph.order + len(new_roles), graph.edges + tuple(new_edges), labels)
+    return ReducedInstance(grown, terminals, k, roles)
+
+
 def lift_terminals(
     graph: Graph, terminals, k1: int, k2: int
 ) -> ReducedInstance:
@@ -674,8 +669,7 @@ def lift_terminals(
     length-two paths through fresh midpoints, so any packing of k2 trees
     extends across the hubs and conversely restricts back.
     """
-    terminals = TerminalSet.of(terminals)
-    terminals.validate_in(graph)
+    terminals = TerminalSet.of(terminals).validate_in(graph)
     for name, value in (("k1", k1), ("k2", k2)):
         if not _is_int(value):
             raise ValueError(f"{name} must be an int, got {value!r}")
@@ -685,11 +679,10 @@ def lift_terminals(
         raise ValueError(f"k2 must be >= 1, got {k2}")
     hubs = k1 - len(terminals)
     anchor = terminals.members[0]
-    order = graph.order + hubs + hubs * k2
     hub0 = graph.order
     mid0 = graph.order + hubs
-    edges = list(graph.edges)
-    roles = {v: f"original({v})" for v in range(graph.order)}
+    roles: dict[int, str] = {}
+    edges: list[tuple[int, int]] = []
     for i in range(hubs):
         roles[hub0 + i] = f"lift-hub({i})"
         for j in range(k2):
@@ -697,11 +690,8 @@ def lift_terminals(
             roles[mid] = f"lift-mid({i},{j})"
             edges.append((hub0 + i, mid))
             edges.append((mid, anchor))
-    labels = None
-    if graph.labels is not None:
-        labels = tuple(graph.labels) + (None,) * (order - graph.order)
     new_terms = TerminalSet(terminals.members + tuple(range(hub0, hub0 + hubs)))
-    return ReducedInstance(Graph(order, tuple(edges), labels), new_terms, k2, roles)
+    return _grown(graph, roles, edges, new_terms, k2)
 
 
 def pad_tree_count(graph: Graph, terminals, k: int) -> ReducedInstance:
@@ -711,22 +701,16 @@ def pad_tree_count(graph: Graph, terminals, k: int) -> ReducedInstance:
     star tree; with only k-2 pads, any k-packing keeps two pad-free trees,
     which are trees of the original graph.
     """
-    terminals = TerminalSet.of(terminals)
-    terminals.validate_in(graph)
+    terminals = TerminalSet.of(terminals).validate_in(graph)
     if not _is_int(k):
         raise ValueError(f"k must be an int, got {k!r}")
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
-    pads = k - 2
-    order = graph.order + pads
-    edges = list(graph.edges)
-    roles = {v: f"original({v})" for v in range(graph.order)}
-    for i in range(pads):
+    roles: dict[int, str] = {}
+    edges: list[tuple[int, int]] = []
+    for i in range(k - 2):
         pad = graph.order + i
         roles[pad] = f"pad({i})"
         for s in terminals.members:
             edges.append((pad, s))
-    labels = None
-    if graph.labels is not None:
-        labels = tuple(graph.labels) + (None,) * pads
-    return ReducedInstance(Graph(order, tuple(edges), labels), terminals, k, roles)
+    return _grown(graph, roles, edges, terminals, k)

@@ -276,18 +276,20 @@ def _edges_at(bits: GraphBits, smask: int) -> tuple[int, int]:
     return at_s, inner_e
 
 
-def _star_count(bits: GraphBits, nbrs: list[int], smask: int, root: int, need: int) -> int:
+def _star_count(bits: GraphBits, smask: int, root: int, need: int) -> int:
     """A lower bound on kappa(S) from stars, found without search.
 
     The star through a non-terminal next to every terminal is a tree on S,
     and a tree on the edges inside S meets no star outside S, so these
     trees are internally disjoint.  The bound counts the stars, plus the
     inner tree when the stars fall one short of `need` and the edges
-    inside S connect S (`nbrs[v]` is the mask of v's neighbours).
+    inside S connect S.  The non-terminals next to every terminal are the
+    AND of the terminals' neighbour masks, less S; `GraphBits` builds those
+    masks (`bits.nbrs`) once per graph, with its edge masks.
     """
     common = ~smask
     for s in iter_bits(smask):
-        common &= nbrs[s]
+        common &= bits.nbrs[s]
     count = common.bit_count()
     if count + 1 == need:
         if extract_steiner_tree(bits, smask, _edges_at(bits, smask)[1], root) is not None:
@@ -305,15 +307,16 @@ def _greedy_packing(
     S; a tree on S plus one non-terminal, least available degree first
     (then lowest id); the breadth-first tree on all available edges.  All
     three are `extract_steiner_tree` on a narrower mask, skipped when the
-    mask has too few edges for a tree.
+    mask has too few edges for a tree.  The non-terminals next to S are the
+    OR of the terminals' neighbour masks `bits.nbrs` (built by `GraphBits`
+    once per graph), less S.
     """
     einc = bits.einc
-    evmask = bits.evmask
     size = smask.bit_count()
     at_s, inner_e = _edges_at(bits, smask)
     near_v = 0
-    for e in iter_bits(at_s & ~inner_e):
-        near_v |= evmask[e]
+    for s in iter_bits(smask):
+        near_v |= bits.nbrs[s]
     near = list(iter_bits(near_v & ~smask))
     packing = []
     avail_e = bits.all_e
@@ -465,8 +468,7 @@ def decide_kappa_at_least(
     """Find k internally disjoint trees connecting S, or prove none exist."""
     if not _is_int(k) or k < 1:
         raise ValueError(f"k must be an int >= 1, got {k!r}")
-    terminals = TerminalSet.of(terminals)
-    terminals.validate_in(graph)
+    terminals = TerminalSet.of(terminals).validate_in(graph)
     bits = GraphBits(graph)
     counter = _Budget(budget)
     value, packing, exact = _climb(bits, terminals.members, k, k, counter)
@@ -481,8 +483,7 @@ def kappa_set_exact(graph: Graph, terminals, budget: int | None = None) -> Solve
     Status "exact" means no larger packing exists; on budget exhaustion the
     best certificate found so far is returned with status "lower-bound".
     """
-    terminals = TerminalSet.of(terminals)
-    terminals.validate_in(graph)
+    terminals = TerminalSet.of(terminals).validate_in(graph)
     bits = GraphBits(graph)
     counter = _Budget(budget)
     value, packing, exact = _climb(bits, terminals.members, 1, None, counter)
@@ -504,10 +505,6 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
         raise ValueError(f"k must be an int in [2, {graph.order}], got {k!r}")
     counter = _Budget(budget)
     bits = GraphBits(graph)
-    nbrs = [0] * graph.order
-    for u, v in graph.edges:
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
     best: int | None = None
     argmin: tuple[int, ...] | None = None
     status = "exact"
@@ -518,7 +515,7 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
             # reaches `best` shows kappa(S) >= best, so S cannot lower the
             # minimum
             smask = mask_of(combo)
-            if _star_count(bits, nbrs, smask, combo[0], best) >= best:
+            if _star_count(bits, smask, combo[0], best) >= best:
                 continue
             screened = {}
             for root in combo:
@@ -634,8 +631,7 @@ def brute_force_kappa(graph: Graph, terminals) -> int:
     """kappa(S) by exhaustive enumeration; ground truth for small graphs."""
     if graph.order > 9:
         raise ValueError(f"order {graph.order} exceeds brute-force cap 9")
-    terminals = TerminalSet.of(terminals)
-    terminals.validate_in(graph)
+    terminals = TerminalSet.of(terminals).validate_in(graph)
     bits = GraphBits(graph)
     smask = mask_of(terminals.members)
     cands = _minimal_trees_by_subsets(bits, smask)

@@ -23,17 +23,20 @@ from .certificates import Tree, _is_tree
 class GraphBits:
     """Bitmask view of a graph for the combinatorial search routines."""
 
-    __slots__ = ("order", "edges", "einc", "evmask", "all_e")
+    __slots__ = ("order", "edges", "einc", "nbrs", "evmask", "all_e")
 
     def __init__(self, graph: Graph):
         self.order = graph.order
         self.edges = graph.edges
         self.einc = [0] * graph.order
+        self.nbrs = [0] * graph.order
         self.evmask: list[int] = []
         for i, (u, v) in enumerate(graph.edges):
             bit = 1 << i
             self.einc[u] |= bit
             self.einc[v] |= bit
+            self.nbrs[u] |= 1 << v
+            self.nbrs[v] |= 1 << u
             self.evmask.append((1 << u) | (1 << v))
         self.all_e = (1 << len(graph.edges)) - 1
 
@@ -221,8 +224,7 @@ def enumerate_steiner_trees(
     """
     if not _is_int(limit) or limit < 1:
         raise ValueError(f"limit must be an int >= 1, got {limit!r}")
-    terminals = TerminalSet.of(terminals)
-    terminals.validate_in(graph)
+    terminals = TerminalSet.of(terminals).validate_in(graph)
     bits = GraphBits(graph)
     smask = mask_of(terminals.members)
     found = list(itertools.islice(
@@ -345,8 +347,7 @@ def classify_topology(tree: Tree, terminals: TerminalSet | list[int]) -> Reduced
 
 def count_topologies(graph: Graph, terminals: TerminalSet | list[int]) -> int:
     """Number of distinct reduced topologies over all minimal Steiner trees."""
-    terminals = TerminalSet.of(terminals)
-    terminals.validate_in(graph)
+    terminals = TerminalSet.of(terminals).validate_in(graph)
     bits = GraphBits(graph)
     smask = mask_of(terminals.members)
     sset = frozenset(terminals.members)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeconn import (
+    TerminalSet,
     Tree,
     TreeCertificate,
     complete_graph,
@@ -159,3 +160,25 @@ def test_certificate_json_round_trip():
     text = serialize_certificate(cert)
     assert parse_certificate(text) == cert
     assert serialize_certificate(parse_certificate(text)) == text
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TerminalSet(5), "terminal ids: expected an iterable, got 5"),
+        (lambda: TerminalSet((1, "a")), "invalid terminal id 'a'"),
+        (lambda: kappa_set_exact(path_graph(3), (0, "a")), "invalid terminal id 'a'"),
+        (lambda: Tree(5, ()), "tree vertex ids: expected an iterable, got 5"),
+        (lambda: Tree((0, 1), 5), "tree edges: expected an iterable, got 5"),
+        (lambda: TreeCertificate(5), "trees: expected an iterable, got 5"),
+        (lambda: TreeCertificate((5,)), "tree 0: expected a Tree, got 5"),
+    ],
+    ids=["terminals-int", "terminals-str", "solver-terminals-str", "tree-vertices-int",
+         "tree-edges-int", "certificate-int", "certificate-member-int"],
+)
+def test_vertex_sequences_and_certificates_reject_malformed_input(build, message):
+    # each member's type is checked before the ids are sorted, and a
+    # certificate holds only Trees, so verification never meets a bare int
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

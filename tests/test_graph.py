@@ -177,3 +177,24 @@ def test_relabel_permutes_edges_and_labels():
 def test_cycle_graph_requires_three():
     with pytest.raises(ValueError):
         cycle_graph(2)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"order": "3"}', "order must be an integer, got '3'"),
+        ('{"order": true}', "order must be an integer, got True"),
+        ('{"order": 2.0}', "order must be an integer, got 2.0"),
+        ('{"order": -1}', "order must be non-negative, got -1"),
+        ('{"order": 2, "labels": ["a"]}', "labels: expected 2 entries, got 1"),
+        ('{"order": 2, "labels": ["a", 5]}', "labels: expected string or null, got 5"),
+        ('{"order": 2, "edges": {"0": 1}}', "'edges' must be a list"),
+        ('{"order": 2, "labels": "ab"}', "'labels' must be a list"),
+        ('{"edges": []}', "missing field 'order'"),
+        ("[2]", "expected a JSON object, got list"),
+    ],
+)
+def test_graph_fields_are_rejected_exactly(text, message):
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(text)
+    assert str(err.value) == message

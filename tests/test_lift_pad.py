@@ -5,6 +5,7 @@ import random
 import pytest
 
 from treeconn import (
+    Graph,
     brute_force_kappa,
     complete_graph,
     cycle_graph,
@@ -116,3 +117,17 @@ def test_pad_equivalence_random(seed):
         == "certificate"
     )
     assert base == padded
+
+
+def test_lift_and_pad_keep_labels_and_leave_new_vertices_unlabelled():
+    g = Graph(4, cycle_graph(4).edges, ("a", None, "c", "d"))
+    lifted = lift_terminals(g, (0, 2), 3, 2)
+    assert lifted.graph.labels == ("a", None, "c", "d", None, None, None)
+    assert lifted.graph.edges == tuple(sorted(g.edges + ((0, 5), (0, 6), (4, 5), (4, 6))))
+    assert [lifted.roles[v] for v in range(4)] == [f"original({v})" for v in range(4)]
+    padded = pad_tree_count(g, (0, 2), 4)
+    assert padded.graph.labels == ("a", None, "c", "d", None, None)
+    assert padded.graph.edges == tuple(sorted(g.edges + ((0, 4), (2, 4), (0, 5), (2, 5))))
+    assert [padded.roles[v] for v in range(4, 6)] == ["pad(0)", "pad(1)"]
+    # an unlabelled graph stays unlabelled
+    assert pad_tree_count(cycle_graph(4), (0, 2), 3).graph.labels is None

@@ -73,3 +73,15 @@ def test_reduced_role_keys_are_ascii_decimals_once_each(roles, message):
     with pytest.raises(GraphFormatError) as err:
         reduced_from_obj({**obj, "roles": roles})
     assert str(err.value) == f"invalid reduced instance: {message}"
+
+
+@pytest.mark.parametrize(
+    "terminals, message",
+    [([0, "2"], "invalid terminal id '2'"), ([0, -2], "invalid terminal id -2"),
+     ([0, 5], "terminal 5 out of range for order 3")],
+)
+def test_reduced_terminals_are_checked_by_the_terminal_set(terminals, message):
+    obj = {"graph": {"order": 3, "edges": [[0, 1], [1, 2]]}, "threshold": 1, "roles": _ROLES}
+    with pytest.raises(GraphFormatError) as err:
+        reduced_from_obj({**obj, "terminals": terminals})
+    assert str(err.value) == f"invalid reduced instance: {message}"

@@ -9,6 +9,8 @@ from treeconn import (
     GraphFormatError,
     Matching,
     ThreeDMInstance,
+    Tree,
+    TreeCertificate,
     decide_kappa_at_least,
     matching_is_perfect,
     matching_to_trees,
@@ -224,3 +226,12 @@ def test_exhaustive_tiny_equivalence():
         oracle = solve_3dm_brute(inst)
         decision = decide_kappa_at_least(red.graph, red.terminals, red.threshold)
         assert (decision.outcome == "certificate") == (oracle is not None), chosen
+
+
+def test_trees_to_matching_rejects_an_invalid_tree():
+    inst = ThreeDMInstance(2, ((0, 0, 0), (1, 1, 1), (0, 1, 0)))
+    cert = matching_to_trees(inst, Matching(frozenset({0, 1})))
+    # the hubs hub-u and hub-v are not adjacent
+    broken = TreeCertificate(cert.trees[:2] + (Tree((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3))),))
+    with pytest.raises(ValueError, match=r"invalid certificate: tree 2: edge \(0, 1\) not in"):
+        trees_to_matching(inst, broken)

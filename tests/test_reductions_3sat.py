@@ -9,6 +9,8 @@ from treeconn import (
     Assignment,
     CnfFormula,
     GraphFormatError,
+    Tree,
+    TreeCertificate,
     assignment_satisfies,
     assignment_to_trees,
     decide_kappa_at_least,
@@ -268,3 +270,14 @@ def test_empty_clause_makes_reduction_negative():
     red = reduce_3sat(phi)
     decision = decide_kappa_at_least(red.graph, red.terminals, 2)
     assert decision.outcome == "refuted"
+
+
+def test_trees_to_assignment_rejects_wrong_count_and_invalid_trees():
+    phi = CnfFormula(3, ((1, 2, 3), (-1, -2, 3)))
+    cert = assignment_to_trees(phi, Assignment((False, False, True)))
+    with pytest.raises(ValueError, match="certificate has 1 trees, expected 2"):
+        trees_to_assignment(phi, TreeCertificate(cert.trees[:1]))
+    # the apex alone misses every terminal
+    broken = TreeCertificate((cert.trees[0], Tree((0,), ())))
+    with pytest.raises(ValueError, match=r"invalid certificate: tree 1: missing terminals"):
+        trees_to_assignment(phi, broken)

@@ -277,14 +277,6 @@ def test_star_count_settles_every_later_subset_of_a_complete_graph(
     assert len(calls) == 1
 
 
-def _neighbour_masks(g: Graph) -> list[int]:
-    nbrs = [0] * g.order
-    for u, v in g.edges:
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
-    return nbrs
-
-
 def test_star_count_adds_the_inner_tree_only_one_short_of_need():
     # 3 and 4 reach all of S = {0, 1, 2}, 5 misses 2; the path 0-1-2 lies
     # inside S, so there are three trees, the third counted only when it
@@ -292,13 +284,13 @@ def test_star_count_adds_the_inner_tree_only_one_short_of_need():
     g = Graph(6, (
         (0, 1), (1, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4), (0, 5), (1, 5),
     ))
-    bits, nbrs, smask = GraphBits(g), _neighbour_masks(g), mask_of((0, 1, 2))
-    assert [_star_count(bits, nbrs, smask, 0, need) for need in range(5)] == [2, 2, 2, 3, 2]
+    bits, smask = GraphBits(g), mask_of((0, 1, 2))
+    assert [_star_count(bits, smask, 0, need) for need in range(5)] == [2, 2, 2, 3, 2]
     assert brute_force_kappa(g, (0, 1, 2)) == 3
     # without the edge 1-2 the edges inside S leave 2 apart
     g = Graph(6, tuple(e for e in g.edges if e != (1, 2)))
     bits = GraphBits(g)
-    assert _star_count(bits, _neighbour_masks(g), smask, 0, 3) == 2
+    assert _star_count(bits, smask, 0, 3) == 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -314,10 +306,10 @@ def test_star_count_never_exceeds_kappa(seed, order, p):
     rng = random.Random(seed)
     g = random_graph(rng, order, p)
     s = random_terminals(rng, g, rng.randint(2, min(5, order))).members
-    bits, nbrs, smask = GraphBits(g), _neighbour_masks(g), mask_of(s)
+    bits, smask = GraphBits(g), mask_of(s)
     value = brute_force_kappa(g, s)
     for need in range(order + 2):
-        assert _star_count(bits, nbrs, smask, s[0], need) <= value
+        assert _star_count(bits, smask, s[0], need) <= value
 
 
 @settings(max_examples=40, deadline=None)

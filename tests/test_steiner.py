@@ -712,3 +712,10 @@ def test_five_types_enumerated_explicitly():
     ]
     codes = {classify_topology(t, S).code for t in shapes}
     assert len(codes) == 5
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_graph_bits_neighbour_masks_match_adjacency(seed):
+    g = random_graph(random.Random(seed), 9, 0.4)
+    bits = GraphBits(g)
+    assert bits.nbrs == [mask_of(nb) for nb in g.adjacency()]
