@@ -106,9 +106,7 @@ def _is_tree(tree: Tree) -> str | None:
         if ru == rv:
             return f"contains a cycle through edge ({u},{v})"
         parent[ru] = rv
-    roots = {find(v) for v in tree.vertices}
-    if len(roots) != 1:
-        return "is disconnected"
+    # no connectivity pass: an acyclic graph with nv - 1 edges is one component
     return None
 
 

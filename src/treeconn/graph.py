@@ -97,9 +97,10 @@ class Graph:
             raise GraphFormatError(f"order must be an integer, got {self.order!r}")
         if self.order < 0:
             raise GraphFormatError(f"order must be non-negative, got {self.order}")
-        object.__setattr__(self, "edges", _canonical_edges(self.order, self.edges))
+        edges = _canonical_edges(self.order, _iterable(self.edges, "edges"))
+        object.__setattr__(self, "edges", edges)
         if self.labels is not None:
-            labels = tuple(self.labels)
+            labels = _iterable(self.labels, "labels")
             if len(labels) != self.order:
                 raise GraphFormatError(
                     f"labels: expected {self.order} entries, got {len(labels)}"

@@ -169,8 +169,8 @@ class ReducedInstance:
     roles: dict[int, str]
 
     def __post_init__(self) -> None:
-        if self.threshold < 1:
-            raise ValueError("threshold must be >= 1")
+        if not _is_int(self.threshold) or self.threshold < 1:
+            raise ValueError(f"threshold must be an int >= 1, got {self.threshold!r}")
         self.terminals.validate_in(self.graph)
         if sorted(self.roles) != list(range(self.graph.order)):
             raise ValueError("roles must cover every vertex exactly once")
@@ -199,8 +199,6 @@ def reduced_from_obj(obj: object) -> ReducedInstance:
     terminals, threshold, roles = obj["terminals"], obj["threshold"], obj["roles"]
     if not isinstance(terminals, list):
         raise GraphFormatError("'terminals' must be a list")
-    if not _is_int(threshold):
-        raise GraphFormatError(f"'threshold' must be an integer, got {threshold!r}")
     if not isinstance(roles, dict) or not all(
         isinstance(k, str) and isinstance(r, str) for k, r in roles.items()
     ):
@@ -219,6 +217,11 @@ def reduced_from_obj(obj: object) -> ReducedInstance:
 
 def parse_reduced(text: str) -> ReducedInstance:
     return reduced_from_obj(load_json(text))
+
+
+def _tree(edges: list[tuple[int, int]]) -> Tree:
+    """The tree with these edges, on exactly their endpoints."""
+    return Tree({v for edge in edges for v in edge}, edges)
 
 
 def _check_certificate(reduced: ReducedInstance, cert: TreeCertificate) -> None:
@@ -311,35 +314,13 @@ def matching_to_trees(inst: ThreeDMInstance, matching: Matching) -> TreeCertific
         if i in matching.chosen:
             ui, vi, wi = inst.triples[i]
             uu, vv, ww = u0 + ui, v0 + vi, w0 + wi
-            trees.append(
-                Tree(
-                    (hub_u, hub_v, hub_w, hub_t, uu, vv, ww, ti),
-                    (
-                        (hub_u, uu),
-                        (hub_v, vv),
-                        (hub_w, ww),
-                        (hub_t, ti),
-                        (ti, uu),
-                        (ti, vv),
-                        (ti, ww),
-                    ),
-                )
-            )
+            edges = [(hub_u, uu), (hub_v, vv), (hub_w, ww), (hub_t, ti),
+                     (ti, uu), (ti, vv), (ti, ww)]
         else:
             aj = a0 + slack
             slack += 1
-            trees.append(
-                Tree(
-                    (hub_u, hub_v, hub_w, hub_t, ti, aj),
-                    (
-                        (hub_t, ti),
-                        (ti, aj),
-                        (hub_u, aj),
-                        (hub_v, aj),
-                        (hub_w, aj),
-                    ),
-                )
-            )
+            edges = [(hub_t, ti), (ti, aj), (hub_u, aj), (hub_v, aj), (hub_w, aj)]
+        trees.append(_tree(edges))
     return TreeCertificate(tuple(trees))
 
 
@@ -392,8 +373,8 @@ def parse_3dm(text: str) -> ThreeDMInstance:
     if not isinstance(obj, dict) or "n" not in obj or "triples" not in obj:
         raise GraphFormatError("3-DM instance needs fields 'n' and 'triples'")
     try:
-        return ThreeDMInstance(obj["n"], tuple(tuple(t) for t in obj["triples"]))
-    except (TypeError, ValueError) as exc:
+        return ThreeDMInstance(obj["n"], obj["triples"])
+    except ValueError as exc:
         raise GraphFormatError(f"invalid 3-DM instance: {exc}") from exc
 
 
@@ -490,36 +471,18 @@ def assignment_to_trees(phi: CnfFormula, assignment: Assignment) -> TreeCertific
 
     t1_edges: list[tuple[int, int]] = []
     for j, clause in enumerate(phi.clauses):
-        true_lits = sorted(
-            (abs(lit) - 1, 0 if lit > 0 else 1)
-            for lit in clause
-            if assignment.values[abs(lit) - 1] == (lit > 0)
-        )
-        var = true_lits[0][0]
+        var = min(abs(lit) - 1 for lit in clause if assignment.values[abs(lit) - 1] == (lit > 0))
         t1_edges.append((agree(var), c0 + j))
     for i in range(1, n):
         t1_edges.append((agree(0), agree(i)))
     for i in range(n):
         t1_edges.append((hat0 + i, agree(i)))
-    t1_vertices = (
-        tuple(hat0 + i for i in range(n))
-        + tuple(agree(i) for i in range(n))
-        + tuple(c0 + j for j in range(phi.num_clauses))
-    )
-    t1 = Tree(t1_vertices, tuple(t1_edges))
 
     t2_edges: list[tuple[int, int]] = [(apex, c0 + j) for j in range(phi.num_clauses)]
     for i in range(n):
         t2_edges.append((apex, disagree(i)))
         t2_edges.append((hat0 + i, disagree(i)))
-    t2_vertices = (
-        (apex,)
-        + tuple(hat0 + i for i in range(n))
-        + tuple(disagree(i) for i in range(n))
-        + tuple(c0 + j for j in range(phi.num_clauses))
-    )
-    t2 = Tree(t2_vertices, tuple(t2_edges))
-    return TreeCertificate((t1, t2))
+    return TreeCertificate((_tree(t1_edges), _tree(t2_edges)))
 
 
 def trees_to_assignment(phi: CnfFormula, cert: TreeCertificate) -> Assignment:

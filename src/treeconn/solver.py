@@ -538,11 +538,7 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
 
 def menger_pair(graph: Graph, u: int, v: int) -> int:
     """Maximum number of internally disjoint u-v paths, by maximum flow."""
-    if u == v:
-        raise ValueError("u and v must differ")
-    for x in (u, v):
-        if not 0 <= x < graph.order:
-            raise ValueError(f"vertex {x} out of range")
+    TerminalSet((u, v)).validate_in(graph)
     bits = GraphBits(graph)
     return _flow_at_least(bits, (1 << u) | (1 << v), bits.all_e, u, v, None)
 

@@ -6,6 +6,7 @@ checks are exact: agreement counts must be total and tolerances are zero.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -28,6 +29,7 @@ from treeconn import (
     pad_tree_count,
     reduce_3dm,
     reduce_3sat,
+    serialize_certificate,
     solve_3dm_brute,
     solve_sat_brute,
     trees_to_assignment,
@@ -190,6 +192,34 @@ def test_criterion_5_witness_soundness(threedm_cases, sat_cases):
             violations.append(("sat backward", phi.clauses))
     _report(
         f"criterion 5: witness soundness on {checked} positive instances", violations
+    )
+
+
+def test_gadget_certificates_are_pinned():
+    # every certificate that matching_to_trees and assignment_to_trees write
+    # for these instances, byte for byte, each decoding back to its witness
+    digest = hashlib.sha256()
+    count = 0
+    for seed in range(300):
+        n, m = [(1, 1), (2, 4), (3, 5), (4, 6)][seed % 4]
+        inst = random_3dm(random.Random(seed), n, m)
+        matching = solve_3dm_brute(inst)
+        if matching is not None:
+            cert = matching_to_trees(inst, matching)
+            assert trees_to_matching(inst, cert) == matching
+            digest.update((serialize_certificate(cert) + "\n").encode())
+            count += 1
+    for seed in range(300):
+        phi = random_cnf(random.Random(seed), 2 + seed % 5, seed % 9)
+        assignment = solve_sat_brute(phi)
+        if assignment is not None:
+            cert = assignment_to_trees(phi, assignment)
+            assert trees_to_assignment(phi, cert) == assignment
+            digest.update((serialize_certificate(cert) + "\n").encode())
+            count += 1
+    assert count == 435
+    assert digest.hexdigest() == (
+        "749a5a06a4ef6e32ba96fa79e3bbdc29387a83fcea7ac9ed6cd123d071dab3a8"
     )
 
 

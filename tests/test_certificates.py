@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeconn import (
+    Graph,
+    GraphFormatError,
+    ReducedInstance,
     TerminalSet,
     Tree,
     TreeCertificate,
@@ -14,6 +17,7 @@ from treeconn import (
     cycle_graph,
     enumerate_steiner_trees,
     kappa_set_exact,
+    menger_pair,
     parse_certificate,
     path_graph,
     serialize_certificate,
@@ -93,6 +97,22 @@ def test_edge_outside_graph_detected():
     assert any("not in the graph" in v for v in report.violations)
 
 
+def test_vertex_outside_graph_detected():
+    report = verify_certificate(path_graph(2), (0, 1), TreeCertificate((tree((0, 1, 5), []),)))
+    assert report.violations == ("tree 0: vertex 5 out of range",)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [('{"trees": [5]}', "tree 0: expected an object"),
+     ('{"trees": [{"vertices": 5, "edges": []}]}', "tree 0: 'vertices' and 'edges' must be lists")],
+)
+def test_certificate_reader_rejects_malformed_trees(text, message):
+    with pytest.raises(GraphFormatError) as err:
+        parse_certificate(text)
+    assert str(err.value) == message
+
+
 def test_empty_certificate_is_valid():
     assert verify_certificate(path_graph(3), (0, 2), TreeCertificate(())).valid
 
@@ -116,8 +136,10 @@ def test_tree_constructor_rejects_malformed():
         ((-1, 0), (), "invalid tree vertex id -1"),
         ((0, 1), ((0, 2),), r"tree edge \(0,2\) has endpoint outside vertex set"),
         ((0, 1), ((0, -1),), r"tree edge \(0,-1\) has endpoint outside vertex set"),
+        ((), (), "tree must have at least one vertex"),
     ],
-    ids=["float", "bool", "str", "float-with-edge", "negative", "edge-above", "edge-negative"],
+    ids=["float", "bool", "str", "float-with-edge", "negative", "edge-above", "edge-negative",
+         "empty"],
 )
 def test_tree_constructor_rejects_bad_vertex_ids(vertices, edges, message):
     with pytest.raises(ValueError, match=message):
@@ -172,9 +194,26 @@ def test_certificate_json_round_trip():
         (lambda: Tree((0, 1), 5), "tree edges: expected an iterable, got 5"),
         (lambda: TreeCertificate(5), "trees: expected an iterable, got 5"),
         (lambda: TreeCertificate((5,)), "tree 0: expected a Tree, got 5"),
+        (lambda: Graph(3, 5), "edges: expected an iterable, got 5"),
+        (lambda: Graph(2, (), 5), "labels: expected an iterable, got 5"),
+        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 1.5, {0: "a", 1: "b"}),
+         "threshold must be an int >= 1, got 1.5"),
+        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), True, {0: "a", 1: "b"}),
+         "threshold must be an int >= 1, got True"),
+        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 0, {0: "a", 1: "b"}),
+         "threshold must be an int >= 1, got 0"),
+        (lambda: ReducedInstance(path_graph(3), TerminalSet((0, 1)), 1, {0: "a", 1: "b"}),
+         "roles must cover every vertex exactly once"),
+        (lambda: menger_pair(path_graph(3), 0, "a"), "invalid terminal id 'a'"),
+        (lambda: menger_pair(path_graph(3), 0, 1.0), "invalid terminal id 1.0"),
+        (lambda: menger_pair(path_graph(3), 0, True), "invalid terminal id True"),
+        (lambda: menger_pair(path_graph(3), 0, 7), "terminal 7 out of range for order 3"),
     ],
     ids=["terminals-int", "terminals-str", "solver-terminals-str", "tree-vertices-int",
-         "tree-edges-int", "certificate-int", "certificate-member-int"],
+         "tree-edges-int", "certificate-int", "certificate-member-int", "graph-edges-int",
+         "graph-labels-int", "reduced-threshold-float", "reduced-threshold-bool",
+         "reduced-threshold-zero", "reduced-roles-missing", "menger-str", "menger-float",
+         "menger-bool", "menger-out-of-range"],
 )
 def test_vertex_sequences_and_certificates_reject_malformed_input(build, message):
     # each member's type is checked before the ids are sorted, and a

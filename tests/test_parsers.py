@@ -85,3 +85,20 @@ def test_reduced_terminals_are_checked_by_the_terminal_set(terminals, message):
     with pytest.raises(GraphFormatError) as err:
         reduced_from_obj({**obj, "terminals": terminals})
     assert str(err.value) == f"invalid reduced instance: {message}"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("terminals", "0,2", "'terminals' must be a list"),
+        ("roles", {"0": "a", "1": 1, "2": "c"}, "'roles' must map vertex ids to strings"),
+        ("threshold", "1", "invalid reduced instance: threshold must be an int >= 1, got '1'"),
+        ("threshold", True, "invalid reduced instance: threshold must be an int >= 1, got True"),
+    ],
+)
+def test_reduced_fields_are_rejected_exactly(field, value, message):
+    obj = {"graph": {"order": 3, "edges": [[0, 1], [1, 2]]}, "terminals": [0, 2],
+           "threshold": 1, "roles": _ROLES}
+    with pytest.raises(GraphFormatError) as err:
+        parse_reduced(json.dumps({**obj, field: value}))
+    assert str(err.value) == message

@@ -50,6 +50,19 @@ def test_instance_rejects_non_iterable_triples(triples, message):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 1, "triples": 5}', "triples: expected an iterable, got 5"),
+        ('{"n": 1, "triples": [[0, 0]]}', "triple 0: expected 3 coordinates, got (0, 0)"),
+    ],
+)
+def test_parse_3dm_rejects_malformed_triples(text, message):
+    with pytest.raises(GraphFormatError) as err:
+        parse_3dm(text)
+    assert str(err.value) == f"invalid 3-DM instance: {message}"
+
+
+@pytest.mark.parametrize(
     "chosen, message",
     [
         (frozenset({True}), "triple index must be an int, got True"),

@@ -258,6 +258,12 @@ def test_parse_dimacs_takes_only_ascii_decimals(text, message):
     assert parse_dimacs("p cnf 3 1\n-1 2 -3 0\n").clauses == ((-1, 2, -3),)
 
 
+def test_parse_dimacs_rejects_a_repeated_header():
+    with pytest.raises(GraphFormatError) as err:
+        parse_dimacs("p cnf 3 1\np cnf 3 1\n1 2 3 0\n")
+    assert str(err.value) == "line 2: repeated header"
+
+
 def test_dimacs_round_trip():
     phi = CnfFormula(4, ((1, -2, 4), (-3,), (2, 3)))
     assert parse_dimacs(write_dimacs(phi)) == phi
