@@ -81,7 +81,7 @@ def _load_instance(args) -> tuple[Graph, TerminalSet]:
 
 
 def _emit(args, obj: dict, human_lines: list[str]) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(obj, sort_keys=True))
     else:
         for line in human_lines:
@@ -89,12 +89,12 @@ def _emit(args, obj: dict, human_lines: list[str]) -> None:
 
 
 def _write_out(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text)
 
 
 def _maybe_dot(args, graph: Graph, terminals: TerminalSet | None) -> None:
-    if getattr(args, "dot", None):
+    if args.dot:
         Path(args.dot).write_text(export_dot(graph, terminals))
 
 

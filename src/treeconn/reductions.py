@@ -171,8 +171,14 @@ class ReducedInstance:
     def __post_init__(self) -> None:
         if not _is_int(self.threshold) or self.threshold < 1:
             raise ValueError(f"threshold must be an int >= 1, got {self.threshold!r}")
-        self.terminals.validate_in(self.graph)
-        if sorted(self.roles) != list(range(self.graph.order)):
+        terminals = TerminalSet.of(self.terminals).validate_in(self.graph)
+        object.__setattr__(self, "terminals", terminals)
+        roles = self.roles
+        if not isinstance(roles, dict) or not all(
+            _is_int(v) and isinstance(role, str) for v, role in roles.items()
+        ):
+            raise ValueError("roles must map vertex ids to strings")
+        if sorted(roles) != list(range(self.graph.order)):
             raise ValueError("roles must cover every vertex exactly once")
 
 
@@ -199,9 +205,7 @@ def reduced_from_obj(obj: object) -> ReducedInstance:
     terminals, threshold, roles = obj["terminals"], obj["threshold"], obj["roles"]
     if not isinstance(terminals, list):
         raise GraphFormatError("'terminals' must be a list")
-    if not isinstance(roles, dict) or not all(
-        isinstance(k, str) and isinstance(r, str) for k, r in roles.items()
-    ):
+    if not isinstance(roles, dict):
         raise GraphFormatError("'roles' must map vertex ids to strings")
     try:
         by_id = {}
@@ -210,7 +214,7 @@ def reduced_from_obj(obj: object) -> ReducedInstance:
             if v in by_id:
                 raise ValueError(f"vertex {v} has two roles")
             by_id[v] = role
-        return ReducedInstance(graph, TerminalSet(terminals), threshold, by_id)
+        return ReducedInstance(graph, terminals, threshold, by_id)
     except ValueError as exc:
         raise GraphFormatError(f"invalid reduced instance: {exc}") from exc
 

@@ -8,23 +8,20 @@ by maximum flow outside the search and the tests cross-check.
 
 The three entry points ask one question: does G hold l internally
 disjoint trees connecting S?  The problem is NP-hard, but exhaustive
-search is needed only between two polynomial bounds, so they share one
-level search that first sandwiches kappa(S).  The upper bound U, computed
-by one routine for the whole graph and for every search node, is the
-least of the terminal degrees, |E| // (|S| - 1) and the flow bound below
-(exact for |S| = 2); the lower bound L is a greedy packing that extracts
-one Steiner tree after another, each inside S, else through one
-non-terminal, else anywhere.  Levels above U are refuted and levels up
-to L packed without search.  What is left is searched at the cap first,
-then upwards from L + 1 to the first refuted level.
-`decide_kappa_at_least` asks for the single level k, `kappa_set_exact`
-for every level from 1, and `kappa_k_graph` for each k-subset's levels up
-to the best value found so far, so after the first subset it mostly asks
-whether that value still packs.  Before that, `kappa_k_graph` screens each
-later subset and skips it once the screen shows that many trees: first by
-counting the stars through the non-terminals next to every terminal, plus
-a tree inside S, then by a greedy packing from each of its terminals in
-turn; otherwise the level search reuses its anchor's screened packing.
+search is needed only between two polynomial bounds, and one level search
+owns both.  The upper bound U, computed by one routine for the whole
+graph and for every search node, is the least of the terminal degrees,
+|E| // (|S| - 1) and the flow bound below (exact for |S| = 2).  The lower
+bound L is the largest greedy packing from a terminal, extracting one
+Steiner tree after another, each inside S, else through one non-terminal,
+else anywhere; the flows run only on the levels those packings leave
+open.  Levels above U are refuted and levels up to L packed without
+search.  What is left is searched at the cap first, then upwards from
+L + 1 to the first refuted level.  `decide_kappa_at_least` asks for the
+single level k, `kappa_set_exact` for every level from 1, and
+`kappa_k_graph` for each k-subset's levels up to the best value found so
+far, after skipping each later subset whose star count (`_star_count`)
+already reaches that value.
 
 Each level packs inclusion-minimal Steiner trees one slot at a time.
 Within a packing each tree owns at least one edge at every terminal, so
@@ -281,18 +278,20 @@ def _star_count(bits: GraphBits, smask: int, root: int, need: int) -> int:
 
     The star through a non-terminal next to every terminal is a tree on S,
     and a tree on the edges inside S meets no star outside S, so these
-    trees are internally disjoint.  The bound counts the stars, plus the
-    inner tree when the stars fall one short of `need` and the edges
-    inside S connect S.  The non-terminals next to every terminal are the
-    AND of the terminals' neighbour masks, less S; `GraphBits` builds those
-    masks (`bits.nbrs`) once per graph, with its edge masks.
+    trees are internally disjoint.  The bound counts the stars, plus one
+    more tree when the stars fall one short of `need`: on the edges inside
+    S, or on any edges when there is no star to meet.  The non-terminals
+    next to every terminal are the AND of the terminals' neighbour masks,
+    less S; `GraphBits` builds those masks (`bits.nbrs`) once per graph,
+    with its edge masks.
     """
     common = ~smask
     for s in iter_bits(smask):
         common &= bits.nbrs[s]
     count = common.bit_count()
     if count + 1 == need:
-        if extract_steiner_tree(bits, smask, _edges_at(bits, smask)[1], root) is not None:
+        avail_e = _edges_at(bits, smask)[1] if count else bits.all_e
+        if extract_steiner_tree(bits, smask, avail_e, root) is not None:
             count += 1
     return count
 
@@ -347,38 +346,38 @@ def _climb(
     lo: int,
     hi: int | None,
     counter: _Budget,
-    screened: dict[int, list[tuple[int, int]]] | None = None,
 ) -> tuple[int, list[tuple[int, int]] | None, bool]:
     """min(hi, kappa(S)), searching only the levels no bound settles.
 
-    The upper bound U of `_bound` and a greedy packing of L trees close the
-    levels outside L + 1 .. U; the cap min(hi, U) is searched first, then
-    the levels above max(lo - 1, L) upwards until one is refuted.  Returns
-    (value, packing, exact): value is the highest level packed, or lo - 1
-    when no level from lo up can be packed; packing is None when value was
-    not packed.  exact is False when the budget ran out, and value is then
-    a lower bound.  The bounds are not charged to the budget.  `screened`,
-    when given, maps each terminal to its greedy packing of `hi` trees; the
-    greedy packing of the cap is a prefix of the anchor's, so it is not run
-    again.
+    The cheap terms of U and hi cap the levels.  Below the cap a greedy
+    packing runs from each terminal, least degree first; one that fills
+    the cap answers, else the largest, of L trees, is the lower bound.
+    Only then do the flows of `_bound` lower the cap to U.  The cap is
+    searched first, then the levels above max(lo - 1, L) upwards until one
+    is refuted.  Returns (value, packing, exact): value is the highest
+    level packed, or lo - 1 when no level from lo up can be packed;
+    packing is None when value was not packed.  exact is False when the
+    budget ran out, and value is then a lower bound.  The bounds and the
+    greedy packings are not charged to the budget.
     """
     smask = mask_of(terminals)
-    # U <= the least terminal degree <= |E|, so |E| leaves U uncapped
-    cap = _bound(bits, smask, terminals, bits.all_e, len(bits.edges) if hi is None else hi, lo)
-    if cap < lo:
-        return lo - 1, None, True
     einc = bits.einc
-    anchor = min(terminals, key=lambda s: (einc[s].bit_count(), s))
+    roots = sorted(terminals, key=lambda s: (einc[s].bit_count(), s))
+    anchor = roots[0]
+    cap = min(einc[anchor].bit_count(), len(bits.edges) // (len(terminals) - 1))
+    if hi is not None:
+        cap = min(cap, hi)
     value, packing = lo - 1, None
     if lo < cap:
-        if screened:
-            greedy = screened[anchor][:cap]
-        else:
-            greedy = _greedy_packing(bits, smask, anchor, cap)
-        if len(greedy) == cap:
-            return cap, greedy, True
-        if len(greedy) >= lo:
-            value, packing = len(greedy), greedy
+        for root in roots:
+            greedy = _greedy_packing(bits, smask, root, cap)
+            if len(greedy) == cap:
+                return cap, greedy, True
+            if len(greedy) > value:
+                value, packing = len(greedy), greedy
+    cap = _bound(bits, smask, terminals, bits.all_e, cap, value + 1)
+    if cap <= value:
+        return value, packing, True
     # At most one tree of any packing contains the blocked vertex, a
     # non-terminal of maximum degree, and the order-free last slot can
     # always host that tree, so every slot before it may skip trees
@@ -495,11 +494,11 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
     """min over all k-subsets S of kappa(S), with one minimizing subset.
 
     Subsets are scanned in lexicographic order; later subsets only need to
-    be resolved below the best value seen so far.  Each later subset is
-    first screened by `_star_count`, then by a greedy packing of that many
-    trees from each of its terminals in turn; like the bounds, the screen
-    is not charged to the budget, so a subset that it settles costs no
-    expansion.
+    be resolved below the best value seen so far.  A later subset is
+    skipped when `_star_count` reaches that value; like the bounds, the
+    count is not charged to the budget, so such a subset costs no
+    expansion.  The others go to `_climb` with that value as `hi`, where a
+    greedy packing that reaches it also settles the subset for free.
     """
     if not _is_int(k) or not 2 <= k <= graph.order:
         raise ValueError(f"k must be an int in [2, {graph.order}], got {k!r}")
@@ -509,22 +508,11 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
     argmin: tuple[int, ...] | None = None
     status = "exact"
     for combo in itertools.combinations(range(graph.order), k):
-        screened = None
-        if best is not None:
-            # a star count, or a greedy packing from any terminal, that
-            # reaches `best` shows kappa(S) >= best, so S cannot lower the
-            # minimum
-            smask = mask_of(combo)
-            if _star_count(bits, smask, combo[0], best) >= best:
-                continue
-            screened = {}
-            for root in combo:
-                screened[root] = _greedy_packing(bits, smask, root, best)
-                if len(screened[root]) == best:
-                    break
-            if len(screened[root]) == best:
-                continue
-        value, _, exact = _climb(bits, combo, 1, best, counter, screened)
+        # a star count that reaches `best` shows kappa(S) >= best, so S
+        # cannot lower the minimum
+        if best is not None and _star_count(bits, mask_of(combo), combo[0], best) >= best:
+            continue
+        value, _, exact = _climb(bits, combo, 1, best, counter)
         if not exact:
             status = "upper-bound"
             break

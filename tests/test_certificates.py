@@ -204,6 +204,16 @@ def test_certificate_json_round_trip():
          "threshold must be an int >= 1, got 0"),
         (lambda: ReducedInstance(path_graph(3), TerminalSet((0, 1)), 1, {0: "a", 1: "b"}),
          "roles must cover every vertex exactly once"),
+        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 1, {"a": "x", 0: "y"}),
+         "roles must map vertex ids to strings"),
+        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 1, 5),
+         "roles must map vertex ids to strings"),
+        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 1, {0: 5, 1: None}),
+         "roles must map vertex ids to strings"),
+        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 1, {0: "a", True: "b"}),
+         "roles must map vertex ids to strings"),
+        (lambda: ReducedInstance(path_graph(2), (0, 5), 1, {0: "a", 1: "b"}),
+         "terminal 5 out of range for order 2"),
         (lambda: menger_pair(path_graph(3), 0, "a"), "invalid terminal id 'a'"),
         (lambda: menger_pair(path_graph(3), 0, 1.0), "invalid terminal id 1.0"),
         (lambda: menger_pair(path_graph(3), 0, True), "invalid terminal id True"),
@@ -212,7 +222,9 @@ def test_certificate_json_round_trip():
     ids=["terminals-int", "terminals-str", "solver-terminals-str", "tree-vertices-int",
          "tree-edges-int", "certificate-int", "certificate-member-int", "graph-edges-int",
          "graph-labels-int", "reduced-threshold-float", "reduced-threshold-bool",
-         "reduced-threshold-zero", "reduced-roles-missing", "menger-str", "menger-float",
+         "reduced-threshold-zero", "reduced-roles-missing", "reduced-roles-str-key",
+         "reduced-roles-int", "reduced-roles-non-str", "reduced-roles-bool-key",
+         "reduced-terminals-tuple-out-of-range", "menger-str", "menger-float",
          "menger-bool", "menger-out-of-range"],
 )
 def test_vertex_sequences_and_certificates_reject_malformed_input(build, message):

@@ -6,8 +6,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treeconn import GraphFormatError, parse_certificate, parse_graph
-from treeconn.reductions import parse_3dm, parse_dimacs, parse_reduced, reduced_from_obj
+from treeconn import (
+    GraphFormatError,
+    ReducedInstance,
+    TerminalSet,
+    parse_certificate,
+    parse_graph,
+    path_graph,
+)
+from treeconn.reductions import (
+    parse_3dm,
+    parse_dimacs,
+    parse_reduced,
+    reduced_from_obj,
+    serialize_reduced,
+)
 
 # field names of every JSON format, so that generated objects often get
 # past the top-level checks and reach the readers' inner validation
@@ -91,7 +104,11 @@ def test_reduced_terminals_are_checked_by_the_terminal_set(terminals, message):
     "field, value, message",
     [
         ("terminals", "0,2", "'terminals' must be a list"),
-        ("roles", {"0": "a", "1": 1, "2": "c"}, "'roles' must map vertex ids to strings"),
+        pytest.param("roles", {"0": "a", "1": 1, "2": "c"},
+                     "invalid reduced instance: roles must map vertex ids to strings",
+                     id="roles-non-string-value"),
+        pytest.param("roles", ["a", "b", "c"], "'roles' must map vertex ids to strings",
+                     id="roles-list"),
         ("threshold", "1", "invalid reduced instance: threshold must be an int >= 1, got '1'"),
         ("threshold", True, "invalid reduced instance: threshold must be an int >= 1, got True"),
     ],
@@ -102,3 +119,11 @@ def test_reduced_fields_are_rejected_exactly(field, value, message):
     with pytest.raises(GraphFormatError) as err:
         parse_reduced(json.dumps({**obj, field: value}))
     assert str(err.value) == message
+
+
+def test_reduced_instance_takes_plain_terminals_and_reads_back():
+    # a plain tuple of terminals becomes a TerminalSet, and whatever
+    # constructs is written as JSON that the parser reads back
+    inst = ReducedInstance(path_graph(3), (2, 0), 1, {0: "a", 1: "b", 2: "c"})
+    assert inst.terminals == TerminalSet((0, 2))
+    assert parse_reduced(serialize_reduced(inst)) == inst

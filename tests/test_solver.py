@@ -157,7 +157,7 @@ def test_kappa_k_examples():
 
 
 def test_kappa_k_budget_flag():
-    # in K6 with k = 4 the greedy packing (3 trees) stays below the upper
+    # in K6 with k = 4 each greedy packing (3 trees) stays below the upper
     # bound (5), so every subset needs a search
     k6 = complete_graph(6)
     r = kappa_k_graph(k6, 4, budget=3)
@@ -173,7 +173,7 @@ def test_kappa_k_budget_flag():
 
 
 def reference_kappa_k(graph: Graph, k: int, budget: int | None = None) -> KappaKResult:
-    """`kappa_k_graph` without the greedy screen: `_climb` on every subset."""
+    """`kappa_k_graph` without the star count: `_climb` on every subset."""
     counter = _Budget(budget)
     bits = GraphBits(graph)
     best = argmin = None
@@ -225,12 +225,14 @@ def test_connectivity_prune_expansions_are_pinned():
     assert (d.outcome, d.expansions) == ("certificate", 224)
     d = decide_kappa_at_least(_SPLIT_BY_PRUNE["order8"], (0, 2, 3, 4), 2)
     assert (d.outcome, d.expansions) == ("certificate", 13)
-    # the greedy screen skips most subsets; without the connectivity veto
-    # the subsets it leaves cost 50 expansions
+    # the greedy packings in `_climb` settle most subsets; without the
+    # connectivity veto the subsets they leave cost 50 expansions.  The star
+    # count settles none here that the greedy packings leave open, so the
+    # reference without it costs the same
     kk = kappa_k_graph(_SPLIT_BY_PRUNE["order7"], 3)
     assert (kk.value, kk.subset.members, kk.expansions) == (2, (0, 1, 4), 38)
     ref = reference_kappa_k(_SPLIT_BY_PRUNE["order7"], 3)
-    assert (ref.value, ref.subset.members, ref.expansions) == (2, (0, 1, 4), 55)
+    assert (ref.value, ref.subset.members, ref.expansions) == (2, (0, 1, 4), 38)
 
 
 @settings(max_examples=150, deadline=None)
@@ -263,7 +265,7 @@ def test_star_count_settles_every_later_subset_of_a_complete_graph(
     """kappa_3(K_n) = n - ceil(3/2) (Chartrand, Okamoto and Zhang, Networks
     2010).  The first subset sets the best value n - 2; every later one has
     n - 3 common neighbours and a triangle inside S, so the only greedy
-    packing is the first subset's in `_climb`."""
+    packings are the first subset's in `_climb`, one from each terminal."""
     calls = []
 
     def greedy(*args):
@@ -274,7 +276,7 @@ def test_star_count_settles_every_later_subset_of_a_complete_graph(
     r = kappa_k_graph(complete_graph(n), 3)
     assert (r.value, r.subset.members, r.status) == (value, (0, 1, 2), "exact")
     assert r.expansions == expansions
-    assert len(calls) == 1
+    assert [args[2] for args in calls] == [0, 1, 2]
 
 
 def test_star_count_adds_the_inner_tree_only_one_short_of_need():
@@ -291,6 +293,19 @@ def test_star_count_adds_the_inner_tree_only_one_short_of_need():
     g = Graph(6, tuple(e for e in g.edges if e != (1, 2)))
     bits = GraphBits(g)
     assert _star_count(bits, smask, 0, 3) == 2
+
+
+def test_star_count_takes_any_tree_when_there_is_no_star():
+    # no vertex of the path 0-1-2-3-4 is next to all of S = {0, 2, 4}, so
+    # the one tree that need 1 asks for may run anywhere.  kappa_3 of the
+    # path is 1, so only the first subset is searched, at one expansion
+    g = path_graph(5)
+    bits, smask = GraphBits(g), mask_of((0, 2, 4))
+    assert [_star_count(bits, smask, 0, need) for need in range(3)] == [0, 1, 0]
+    split = GraphBits(Graph(5, ((0, 1), (1, 2), (3, 4))))
+    assert _star_count(split, smask, 0, 1) == 0
+    r = kappa_k_graph(g, 3)
+    assert (r.value, r.subset.members, r.status, r.expansions) == (1, (0, 1, 2), "exact", 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -354,6 +369,35 @@ def test_climb_refutes_a_level_between_greedy_and_bound():
     assert (result.value, result.status) == (2, "exact")
     assert brute_force_kappa(g, s) == 2
     assert decide_kappa_at_least(g, s, 3).outcome == "refuted"
+
+
+def _settled_without_search(g: Graph, s: tuple[int, ...], value: int) -> None:
+    r = kappa_set_exact(g, s)
+    assert (r.value, r.status, r.expansions) == (value, "exact", 0)
+    assert brute_force_kappa(g, s) == value
+    assert verify_certificate(g, s, r.certificate).valid
+
+
+def test_climb_packs_greedily_from_every_terminal():
+    # the anchor 1 (least degree) packs one greedy tree, the flow bound is
+    # 2, and the greedy packing from 0 fills it
+    g = Graph(5, ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3)))
+    s = (0, 1, 3)
+    bits, smask = GraphBits(g), mask_of(s)
+    assert [len(_greedy_packing(bits, smask, root, 2)) for root in (1, 0)] == [1, 2]
+    _settled_without_search(g, s, 2)
+
+
+def test_climb_stops_when_the_greedy_packing_reaches_the_flow_bound():
+    # the cheap terms cap at 2, one greedy tree is all there is, and the
+    # flows, run only after the greedy packings, cap at 1
+    g = Graph(5, ((0, 1), (0, 3), (2, 3), (2, 4)))
+    s = (0, 2, 3)
+    bits, smask = GraphBits(g), mask_of(s)
+    assert _bound(bits, smask, s, bits.all_e, g.edge_count, g.edge_count + 1) == 2
+    assert _bound(bits, smask, s, bits.all_e, g.edge_count, 1) == 1
+    assert len(_greedy_packing(bits, smask, 0, 2)) == 1
+    _settled_without_search(g, s, 1)
 
 
 def reference_greedy_packing(
