@@ -113,6 +113,25 @@ class Graph:
                 raise GraphFormatError("labels: duplicate label")
             object.__setattr__(self, "labels", labels)
 
+    @classmethod
+    def _from_canonical(cls, order: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
+        """An unlabelled graph from fields already in the form `__post_init__`
+        gives them.
+
+        Nothing is checked.  The caller guarantees: `order` is an int >= 1
+        that it has checked; `edges` is a tuple of `(u, v)` pairs with
+        `u < v < order`, sorted and unique; there are no labels.
+        `generators.random_graph`, whose pairs come from
+        `itertools.combinations(range(order), 2)`, is the only caller;
+        `tests/test_generators.py` pins it against the validating
+        constructor.
+        """
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "order", order)
+        object.__setattr__(graph, "edges", edges)
+        object.__setattr__(graph, "labels", None)
+        return graph
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -237,29 +256,40 @@ def parse_graph(text: str) -> Graph:
 
 
 def serialize_graph(graph: Graph) -> str:
-    """Canonical JSON writer; parse_graph(serialize_graph(G)) == G."""
-    return json.dumps(graph_to_obj(graph), sort_keys=True, separators=(",", ":"))
+    """Canonical JSON writer; parse_graph(serialize_graph(G)) == G.
+
+    Writes exactly the bytes of `json.dumps(graph_to_obj(graph),
+    sort_keys=True, separators=(",", ":"))`, without building the dict:
+    the keys in sorted order, ids as plain decimals (`%d`, like the JSON
+    encoder, also for int subclasses), labels through `json.dumps`.
+    """
+    edges = ",".join(["[%d,%d]" % edge for edge in graph.edges])
+    labels = ""
+    if graph.labels is not None:
+        labels = ',"labels":' + json.dumps(list(graph.labels), separators=(",", ":"))
+    return '{"edges":[%s]%s,"order":%d}' % (edges, labels, graph.order)
 
 
 def components(graph: Graph) -> list[list[int]]:
     """Connected components as disjoint sorted lists, ordered by least member."""
-    adj = graph.adjacency()
+    adj: list[list[int]] = [[] for _ in range(graph.order)]
+    for u, v in graph.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     seen = [False] * graph.order
     out: list[list[int]] = []
     for start in range(graph.order):
         if seen[start]:
             continue
-        comp = [start]
         seen[start] = True
-        stack = [start]
-        while stack:
-            v = stack.pop()
+        comp = [start]
+        for v in comp:  # breadth first: the loop reaches what it appends
             for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
-                    stack.append(w)
-        out.append(sorted(comp))
+        comp.sort()
+        out.append(comp)
     return out
 
 

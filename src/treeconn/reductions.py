@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .certificates import Tree, TreeCertificate, verify_certificate
 from .graph import (
@@ -166,7 +168,9 @@ class ReducedInstance:
     graph: Graph
     terminals: TerminalSet
     threshold: int
-    roles: dict[int, str]
+    # a read-only copy (see __post_init__), left out of the hash, which a
+    # mapping cannot take part in
+    roles: Mapping[int, str] = field(hash=False)
 
     def __post_init__(self) -> None:
         if not _is_int(self.threshold) or self.threshold < 1:
@@ -174,12 +178,13 @@ class ReducedInstance:
         terminals = TerminalSet.of(self.terminals).validate_in(self.graph)
         object.__setattr__(self, "terminals", terminals)
         roles = self.roles
-        if not isinstance(roles, dict) or not all(
+        if not isinstance(roles, Mapping) or not all(
             _is_int(v) and isinstance(role, str) for v, role in roles.items()
         ):
             raise ValueError("roles must map vertex ids to strings")
         if sorted(roles) != list(range(self.graph.order)):
             raise ValueError("roles must cover every vertex exactly once")
+        object.__setattr__(self, "roles", MappingProxyType(dict(roles)))
 
 
 def reduced_to_obj(inst: ReducedInstance) -> dict:

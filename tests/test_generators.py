@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treeconn import components, serialize_graph
+from treeconn import Graph, components, serialize_graph
 from treeconn.generators import (
     random_3dm,
     random_cnf,
@@ -57,3 +59,57 @@ def test_terminal_sampler():
     assert len(s) == 3
     with pytest.raises(ValueError):
         random_terminals(random.Random(5), g, 1)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda rng: random_graph(rng, 2.0, 0.5), "order"),
+        (lambda rng: random_graph(rng, "3", 0.5), "order"),
+        (lambda rng: random_graph(rng, True, 0.5), "order"),
+        (lambda rng: random_connected_graph(rng, 2.0, 0.5), "order"),
+        (lambda rng: random_connected_graph(rng, 3, 0.5, max_tries=2.0), "max_tries"),
+        (lambda rng: random_connected_graph(rng, 3, 0.5, max_tries=True), "max_tries"),
+        (lambda rng: random_terminals(rng, random_graph(rng, 4, 0.5), 2.5), "size"),
+        (lambda rng: random_terminals(rng, random_graph(rng, 4, 0.5), True), "size"),
+        (lambda rng: random_3dm(rng, 2.0, 4), "n"),
+        (lambda rng: random_3dm(rng, True, 4), "n"),
+        (lambda rng: random_3dm(rng, 2, 4.0), "m"),
+        (lambda rng: random_3dm(rng, 2, "4"), "m"),
+        (lambda rng: random_cnf(rng, 3.0, 2), "num_vars"),
+        (lambda rng: random_cnf(rng, True, 2), "num_vars"),
+        (lambda rng: random_cnf(rng, 3, True), "num_clauses"),
+        (lambda rng: random_cnf(rng, 3, 2.0), "num_clauses"),
+    ],
+)
+def test_generator_counts_must_be_ints(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        make(random.Random(0))
+
+
+def _reference_random_graph(rng: random.Random, order: int, edge_prob: float) -> Graph:
+    # the nested-loop generator, through the validating constructor
+    edges = []
+    for u in range(order):
+        for v in range(u + 1, order):
+            if rng.random() < edge_prob:
+                edges.append((u, v))
+    return Graph(order, tuple(edges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=14),
+    st.sampled_from([0.0, 0.1, 0.4, 0.8, 1.0]),
+)
+def test_random_graph_matches_the_validated_reference(seed, order, edge_prob):
+    # random_graph builds its Graph unvalidated; it must equal the validated
+    # one in every way a caller sees, and leave the rng in the same state
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    g = random_graph(rng, order, edge_prob)
+    ref = _reference_random_graph(ref_rng, order, edge_prob)
+    assert g == ref and hash(g) == hash(ref)
+    assert g.labels is None
+    assert serialize_graph(g) == serialize_graph(ref)
+    assert rng.getstate() == ref_rng.getstate()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from treeconn import (
     path_graph,
     serialize_graph,
 )
+from treeconn.graph import graph_to_obj
 
 
 def test_parse_path_on_three_vertices():
@@ -109,10 +112,87 @@ def test_components_partition(g: Graph):
         assert comp == sorted(comp)
 
 
+def _reference_components(g: Graph) -> list[list[int]]:
+    # depth first over the sorted adjacency tuples
+    adj = g.adjacency()
+    seen = [False] * g.order
+    out = []
+    for start in range(g.order):
+        if seen[start]:
+            continue
+        comp, stack = [start], [start]
+        seen[start] = True
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    stack.append(w)
+        out.append(sorted(comp))
+    return out
+
+
+@st.composite
+def sparse_graphs(draw):
+    # orders 0 and 1 included, and sparse enough to be split most of the time
+    order = draw(st.integers(min_value=0, max_value=12))
+    pairs = [(u, v) for u in range(order) for v in range(u + 1, order)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=order)) if pairs else []
+    return Graph(order, tuple(edges))
+
+
+@given(sparse_graphs())
+def test_components_match_the_adjacency_reference(g: Graph):
+    assert components(g) == _reference_components(g)
+
+
 def test_components_examples():
     assert components(path_graph(3)) == [[0, 1, 2]]
     assert components(Graph(3, ())) == [[0], [1], [2]]
     assert components(Graph(4, ((0, 1), (2, 3)))) == [[0, 1], [2, 3]]
+
+
+class _Id(int):
+    # an int subclass the constructor accepts, with its own text forms
+    def __repr__(self) -> str:
+        return "R"
+
+    def __str__(self) -> str:
+        return "S"
+
+    def __format__(self, spec: str) -> str:
+        return "F"
+
+
+def _reference_serialize(g: Graph) -> str:
+    return json.dumps(graph_to_obj(g), sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(Graph(0), id="order-0"),
+        pytest.param(Graph(0, (), ()), id="order-0-labelled"),
+        pytest.param(Graph(1), id="order-1"),
+        pytest.param(Graph(3), id="no-edges"),
+        pytest.param(Graph(3, ((0, 1),)), id="one-edge"),
+        pytest.param(Graph(3, ((1, 2), (0, 2)), ('a"b', None, "back\\slash")), id="quotes"),
+        pytest.param(Graph(3, (), ("caf\u00e9", "\u6f22\u5b57 \U0001f600", None)), id="non-ascii"),
+        pytest.param(Graph(3, (), (None, None, None)), id="all-null"),
+        pytest.param(Graph(3, (), ("", "\n\t\x00", "/")), id="control"),
+        pytest.param(
+            Graph(_Id(3), ((_Id(2), _Id(0)), (_Id(1), 2)), (None, "x", None)), id="int-subclass"
+        ),
+    ],
+)
+def test_serialize_graph_matches_json_dumps(g: Graph):
+    assert serialize_graph(g) == _reference_serialize(g)
+    assert parse_graph(serialize_graph(g)) == g
+
+
+@given(graphs())
+def test_serialize_graph_matches_json_dumps_on_random_graphs(g: Graph):
+    assert serialize_graph(g) == _reference_serialize(g)
 
 
 def test_dot_is_deterministic_and_marks_terminals():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -127,3 +128,17 @@ def test_reduced_instance_takes_plain_terminals_and_reads_back():
     inst = ReducedInstance(path_graph(3), (2, 0), 1, {0: "a", 1: "b", 2: "c"})
     assert inst.terminals == TerminalSet((0, 2))
     assert parse_reduced(serialize_reduced(inst)) == inst
+
+
+def test_reduced_instance_keeps_a_read_only_copy_of_its_roles():
+    roles = {0: "a", 1: "b", 2: "c"}
+    inst = ReducedInstance(path_graph(3), (0, 2), 1, roles)
+    text = serialize_reduced(inst)
+    roles[1] = "changed"
+    with pytest.raises(TypeError):
+        inst.roles[1] = 7
+    assert inst.roles == {0: "a", 1: "b", 2: "c"}
+    assert serialize_reduced(inst) == text
+    assert hash(inst) == hash(parse_reduced(text))
+    again = dataclasses.replace(inst, threshold=2)
+    assert again.roles == inst.roles and again.threshold == 2
