@@ -263,8 +263,6 @@ def cmd_roundtrip(args) -> int:
     if args.problem == "3dm":
         problem = (lambda rng: random_3dm(rng, args.n, args.m), solve_3dm_brute, reduce_3dm)
     else:
-        if args.vars < 2:
-            raise GraphFormatError("roundtrip 3sat needs --vars >= 2")
         problem = (
             lambda rng: random_cnf(rng, args.vars, args.clauses),
             solve_sat_brute,

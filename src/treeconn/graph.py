@@ -21,6 +21,16 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int_arg(value: object, name: str, low: int | None = None, high: int | None = None) -> int:
+    """`value`, if it is an int (not a bool) in bounds; else a ValueError
+    `{name} must be an int{bound}, got {value!r}`, where `bound` is empty,
+    ` >= {low}` or ` in [{low}, {high}]`."""
+    if _is_int(value) and (low is None or low <= value) and (high is None or value <= high):
+        return value
+    bound = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+    raise ValueError(f"{name} must be an int{bound}, got {value!r}")
+
+
 def _decimal(token: str, signed: bool = False) -> int:
     """int(token), but of ASCII digits only (after one '-' if `signed`)."""
     digits = token[1:] if signed and token.startswith("-") else token

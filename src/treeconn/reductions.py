@@ -22,6 +22,7 @@ from .graph import (
     GraphFormatError,
     TerminalSet,
     _decimal,
+    _int_arg,
     _is_int,
     _iterable,
     graph_from_obj,
@@ -48,8 +49,7 @@ class ThreeDMInstance:
     triples: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if not _is_int(self.n) or self.n < 1:
-            raise ValueError(f"ground set size must be an integer >= 1, got {self.n!r}")
+        _int_arg(self.n, "ground set size", 1)
         triples = tuple(
             _iterable(t, f"triple {pos}") for pos, t in enumerate(_iterable(self.triples, "triples"))
         )
@@ -79,8 +79,7 @@ class Matching:
     def __post_init__(self) -> None:
         chosen = _iterable(self.chosen, "chosen")
         for i in chosen:
-            if not _is_int(i):
-                raise ValueError(f"triple index must be an int, got {i!r}")
+            _int_arg(i, "triple index")
         object.__setattr__(self, "chosen", frozenset(chosen))
 
 
@@ -107,8 +106,7 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not _is_int(self.num_vars) or self.num_vars < 0:
-            raise ValueError(f"num_vars must be an int >= 0, got {self.num_vars!r}")
+        _int_arg(self.num_vars, "num_vars", 0)
         clauses = tuple(
             _iterable(c, f"clause {pos}") for pos, c in enumerate(_iterable(self.clauses, "clauses"))
         )
@@ -117,9 +115,7 @@ class CnfFormula:
                 raise ValueError(f"clause {pos}: more than 3 literals")
             seen_vars = set()
             for lit in clause:
-                if not _is_int(lit):
-                    raise ValueError(f"clause {pos}: literal must be an int, got {lit!r}")
-                if lit == 0 or abs(lit) > self.num_vars:
+                if _int_arg(lit, f"clause {pos}: literal") == 0 or abs(lit) > self.num_vars:
                     raise ValueError(f"clause {pos}: literal {lit} out of range")
                 if abs(lit) in seen_vars:
                     raise ValueError(
@@ -173,8 +169,7 @@ class ReducedInstance:
     roles: Mapping[int, str] = field(hash=False)
 
     def __post_init__(self) -> None:
-        if not _is_int(self.threshold) or self.threshold < 1:
-            raise ValueError(f"threshold must be an int >= 1, got {self.threshold!r}")
+        _int_arg(self.threshold, "threshold", 1)
         terminals = TerminalSet.of(self.terminals).validate_in(self.graph)
         object.__setattr__(self, "terminals", terminals)
         roles = self.roles
@@ -394,6 +389,8 @@ def parse_3dm(text: str) -> ThreeDMInstance:
 
 def _3sat_ids(phi: CnfFormula):
     n = phi.num_vars
+    if n < 2:
+        raise ValueError("construction needs at least 2 variables")
     apex = 0
     hat0 = 1
     pos0 = 1 + n
@@ -417,11 +414,9 @@ def reduce_3sat(phi: CnfFormula, require_three: bool = False) -> ReducedInstance
     `require_three` is set; the construction never uses the arity.
     """
     n, m = phi.num_vars, phi.num_clauses
-    if n < 2:
-        raise ValueError("construction needs at least 2 variables")
+    apex, hat0, pos0, neg0, c0 = _3sat_ids(phi)
     if require_three and any(len(c) != 3 for c in phi.clauses):
         raise ValueError("a clause does not have exactly 3 literals")
-    apex, hat0, pos0, neg0, c0 = _3sat_ids(phi)
     order = 3 * n + m + 1
     edges: list[tuple[int, int]] = []
     labels: list[str | None] = [None] * order
@@ -465,11 +460,9 @@ def assignment_to_trees(phi: CnfFormula, assignment: Assignment) -> TreeCertific
     clause to its lowest-indexed true literal.  The second tree stars the
     apex over all clauses and the complementary literal vertices.
     """
-    if phi.num_vars < 2:
-        raise ValueError("construction needs at least 2 variables")
+    apex, hat0, pos0, neg0, c0 = _3sat_ids(phi)
     if not assignment_satisfies(phi, assignment):
         raise ValueError("assignment does not satisfy the formula")
-    apex, hat0, pos0, neg0, c0 = _3sat_ids(phi)
     n = phi.num_vars
 
     def agree(i: int) -> int:
@@ -642,13 +635,8 @@ def lift_terminals(
     extends across the hubs and conversely restricts back.
     """
     terminals = TerminalSet.of(terminals).validate_in(graph)
-    for name, value in (("k1", k1), ("k2", k2)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-    if k1 <= len(terminals):
-        raise ValueError(f"k1 must exceed |S| = {len(terminals)}, got {k1}")
-    if k2 < 1:
-        raise ValueError(f"k2 must be >= 1, got {k2}")
+    _int_arg(k1, "k1", len(terminals) + 1)
+    _int_arg(k2, "k2", 1)
     hubs = k1 - len(terminals)
     anchor = terminals.members[0]
     hub0 = graph.order
@@ -674,10 +662,7 @@ def pad_tree_count(graph: Graph, terminals, k: int) -> ReducedInstance:
     which are trees of the original graph.
     """
     terminals = TerminalSet.of(terminals).validate_in(graph)
-    if not _is_int(k):
-        raise ValueError(f"k must be an int, got {k!r}")
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
+    _int_arg(k, "k", 3)
     roles: dict[int, str] = {}
     edges: list[tuple[int, int]] = []
     for i in range(k - 2):

@@ -54,7 +54,7 @@ import itertools
 from dataclasses import dataclass
 
 from .certificates import TreeCertificate, certificate_to_obj
-from .graph import Graph, TerminalSet, _is_int
+from .graph import Graph, TerminalSet, _int_arg
 from .steiner import (
     GraphBits,
     extract_steiner_tree,
@@ -73,9 +73,7 @@ class _Budget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: int | None):
-        if limit is not None and (not _is_int(limit) or limit <= 0):
-            raise ValueError(f"budget must be a positive int, got {limit!r}")
-        self.limit = limit
+        self.limit = None if limit is None else _int_arg(limit, "budget", 1)
         self.used = 0
 
     def tick(self) -> None:
@@ -465,8 +463,7 @@ def decide_kappa_at_least(
     graph: Graph, terminals, k: int, budget: int | None = None
 ) -> DecideResult:
     """Find k internally disjoint trees connecting S, or prove none exist."""
-    if not _is_int(k) or k < 1:
-        raise ValueError(f"k must be an int >= 1, got {k!r}")
+    _int_arg(k, "k", 1)
     terminals = TerminalSet.of(terminals).validate_in(graph)
     bits = GraphBits(graph)
     counter = _Budget(budget)
@@ -500,8 +497,7 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
     expansion.  The others go to `_climb` with that value as `hi`, where a
     greedy packing that reaches it also settles the subset for free.
     """
-    if not _is_int(k) or not 2 <= k <= graph.order:
-        raise ValueError(f"k must be an int in [2, {graph.order}], got {k!r}")
+    _int_arg(k, "k", 2, graph.order)
     counter = _Budget(budget)
     bits = GraphBits(graph)
     best: int | None = None

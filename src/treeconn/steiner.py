@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .graph import Graph, TerminalSet, _is_int
+from .graph import Graph, TerminalSet, _int_arg
 from .certificates import Tree, _is_tree
 
 
@@ -222,8 +222,7 @@ def enumerate_steiner_trees(
     (edge count, edge list).  Otherwise the first `limit` discoveries are
     returned (sorted the same way) with the truncation flag set.
     """
-    if not _is_int(limit) or limit < 1:
-        raise ValueError(f"limit must be an int >= 1, got {limit!r}")
+    _int_arg(limit, "limit", 1)
     terminals = TerminalSet.of(terminals).validate_in(graph)
     bits = GraphBits(graph)
     smask = mask_of(terminals.members)

@@ -191,6 +191,20 @@ def test_gen_cnf(tmp_path):
     assert text.startswith("p cnf 4 6")
 
 
+def test_gen_cnf_rejects_a_negative_clause_count(capsys):
+    assert main(["gen", "cnf", "--clauses", "-2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: num_clauses must be an int >= 0, got -2\n"
+
+
+def test_roundtrip_3sat_needs_two_variables(capsys):
+    assert main(["roundtrip", "3sat", "--vars", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: construction needs at least 2 variables\n"
+
+
 def test_roundtrip_3sat(capsys):
     code = main(["roundtrip", "3sat", "--vars", "3", "--clauses", "5", "--count", "12", "--seed", "7", "--json"])
     assert code == 0

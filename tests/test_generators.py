@@ -16,6 +16,12 @@ from treeconn.generators import (
 )
 
 
+def _message(make) -> str:
+    with pytest.raises(ValueError) as err:
+        make(random.Random(0))
+    return str(err.value)
+
+
 def test_same_seed_same_bytes():
     a = serialize_graph(random_graph(random.Random(1), 8, 0.4))
     b = serialize_graph(random_graph(random.Random(1), 8, 0.4))
@@ -37,10 +43,8 @@ def test_3dm_generator_bounds():
     inst = random_3dm(random.Random(3), 2, 5)
     assert inst.n == 2 and inst.m == 5
     assert len(set(inst.triples)) == 5
-    with pytest.raises(ValueError, match="distinct triples"):
-        random_3dm(random.Random(0), 2, 9)
-    with pytest.raises(ValueError, match="m >= n"):
-        random_3dm(random.Random(0), 3, 2)
+    assert _message(lambda rng: random_3dm(rng, 2, 9)) == "m must be an int in [2, 8], got 9"
+    assert _message(lambda rng: random_3dm(rng, 3, 2)) == "m must be an int in [3, 27], got 2"
 
 
 def test_cnf_generator_clause_shape():
@@ -62,29 +66,61 @@ def test_terminal_sampler():
 
 
 @pytest.mark.parametrize(
-    "make, name",
+    "make, message",
     [
-        (lambda rng: random_graph(rng, 2.0, 0.5), "order"),
-        (lambda rng: random_graph(rng, "3", 0.5), "order"),
-        (lambda rng: random_graph(rng, True, 0.5), "order"),
-        (lambda rng: random_connected_graph(rng, 2.0, 0.5), "order"),
-        (lambda rng: random_connected_graph(rng, 3, 0.5, max_tries=2.0), "max_tries"),
-        (lambda rng: random_connected_graph(rng, 3, 0.5, max_tries=True), "max_tries"),
-        (lambda rng: random_terminals(rng, random_graph(rng, 4, 0.5), 2.5), "size"),
-        (lambda rng: random_terminals(rng, random_graph(rng, 4, 0.5), True), "size"),
-        (lambda rng: random_3dm(rng, 2.0, 4), "n"),
-        (lambda rng: random_3dm(rng, True, 4), "n"),
-        (lambda rng: random_3dm(rng, 2, 4.0), "m"),
-        (lambda rng: random_3dm(rng, 2, "4"), "m"),
-        (lambda rng: random_cnf(rng, 3.0, 2), "num_vars"),
-        (lambda rng: random_cnf(rng, True, 2), "num_vars"),
-        (lambda rng: random_cnf(rng, 3, True), "num_clauses"),
-        (lambda rng: random_cnf(rng, 3, 2.0), "num_clauses"),
+        (lambda rng: random_graph(rng, 2.0, 0.5), "order must be an int >= 1, got 2.0"),
+        (lambda rng: random_graph(rng, "3", 0.5), "order must be an int >= 1, got '3'"),
+        (lambda rng: random_graph(rng, True, 0.5), "order must be an int >= 1, got True"),
+        (lambda rng: random_connected_graph(rng, 2.0, 0.5), "order must be an int >= 1, got 2.0"),
+        (
+            lambda rng: random_connected_graph(rng, 3, 0.5, max_tries=2.0),
+            "max_tries must be an int >= 1, got 2.0",
+        ),
+        (
+            lambda rng: random_connected_graph(rng, 3, 0.5, max_tries=True),
+            "max_tries must be an int >= 1, got True",
+        ),
+        (
+            lambda rng: random_connected_graph(rng, 3, 0.5, max_tries=0),
+            "max_tries must be an int >= 1, got 0",
+        ),
+        (
+            lambda rng: random_connected_graph(rng, 3, 0.5, max_tries=-5),
+            "max_tries must be an int >= 1, got -5",
+        ),
+        (
+            lambda rng: random_terminals(rng, random_graph(rng, 4, 0.5), 2.5),
+            "size must be an int in [2, 4], got 2.5",
+        ),
+        (
+            lambda rng: random_terminals(rng, random_graph(rng, 4, 0.5), True),
+            "size must be an int in [2, 4], got True",
+        ),
+        (lambda rng: random_3dm(rng, 2.0, 4), "n must be an int >= 1, got 2.0"),
+        (lambda rng: random_3dm(rng, True, 4), "n must be an int >= 1, got True"),
+        (lambda rng: random_3dm(rng, 2, 4.0), "m must be an int in [2, 8], got 4.0"),
+        (lambda rng: random_3dm(rng, 2, "4"), "m must be an int in [2, 8], got '4'"),
+        (lambda rng: random_cnf(rng, 3.0, 2), "num_vars must be an int >= 1, got 3.0"),
+        (lambda rng: random_cnf(rng, True, 2), "num_vars must be an int >= 1, got True"),
+        (lambda rng: random_cnf(rng, 3, True), "num_clauses must be an int >= 0, got True"),
+        (lambda rng: random_cnf(rng, 3, 2.0), "num_clauses must be an int >= 0, got 2.0"),
+        (lambda rng: random_cnf(rng, 3, -2), "num_clauses must be an int >= 0, got -2"),
     ],
+    # each row is named after its argument, "order0", "order1", ...
+    ids=lambda v: v.split()[0] if isinstance(v, str) else None,
 )
-def test_generator_counts_must_be_ints(make, name):
-    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
-        make(random.Random(0))
+def test_generator_counts_must_be_ints(make, message):
+    assert _message(make) == message
+
+
+@pytest.mark.parametrize("edge_prob", ["0.5", True, 1.5, -0.1, float("nan"), None])
+def test_edge_prob_must_be_a_number_in_the_unit_interval(edge_prob):
+    message = _message(lambda rng: random_graph(rng, 3, edge_prob))
+    assert message == f"edge_prob must be a number in [0, 1], got {edge_prob!r}"
+
+
+def test_edge_prob_may_be_an_int():
+    assert random_graph(random.Random(0), 3, 1).edges == ((0, 1), (0, 2), (1, 2))
 
 
 def _reference_random_graph(rng: random.Random, order: int, edge_prob: float) -> Graph:
