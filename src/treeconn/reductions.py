@@ -115,7 +115,9 @@ class CnfFormula:
                 raise ValueError(f"clause {pos}: more than 3 literals")
             seen_vars = set()
             for lit in clause:
-                if _int_arg(lit, f"clause {pos}: literal") == 0 or abs(lit) > self.num_vars:
+                if not _is_int(lit):
+                    _int_arg(lit, f"clause {pos}: literal")
+                if lit == 0 or abs(lit) > self.num_vars:
                     raise ValueError(f"clause {pos}: literal {lit} out of range")
                 if abs(lit) in seen_vars:
                     raise ValueError(

@@ -9,19 +9,20 @@ by maximum flow outside the search and the tests cross-check.
 The three entry points ask one question: does G hold l internally
 disjoint trees connecting S?  The problem is NP-hard, but exhaustive
 search is needed only between two polynomial bounds, and one level search
-owns both.  The upper bound U, computed by one routine for the whole
-graph and for every search node, is the least of the terminal degrees,
-|E| // (|S| - 1) and the flow bound below (exact for |S| = 2).  The lower
-bound L is the largest greedy packing from a terminal, extracting one
-Steiner tree after another, each inside S, else through one non-terminal,
-else anywhere; the flows run only on the levels those packings leave
-open.  Levels above U are refuted and levels up to L packed without
-search.  What is left is searched at the cap first, then upwards from
-L + 1 to the first refuted level.  `decide_kappa_at_least` asks for the
-single level k, `kappa_set_exact` for every level from 1, and
-`kappa_k_graph` for each k-subset's levels up to the best value found so
-far, after skipping each later subset whose star count (`_star_count`)
-already reaches that value.
+owns both.  The upper bound U is the least of the terminal degrees,
+|E| // (|S| - 1) and the flow bound below (exact for |S| = 2); `_climb`
+applies the first two, the cheap terms, at the root and its `prune` on
+each remainder, and `_bound` runs only the flows.  The lower bound L is
+the largest greedy packing from a terminal, extracting one Steiner tree
+after another, each inside S, else through one non-terminal, else
+anywhere; the flows run only on the levels those packings leave open.
+Levels above U are refuted and levels up to L packed without search.
+What is left is searched at the cap first, then upwards from L + 1 to the
+first refuted level.  `decide_kappa_at_least` asks for the single level
+k, `kappa_set_exact` for every level from 1, and `kappa_k_graph` for each
+k-subset's levels up to the best value found so far, after skipping each
+later subset whose star count (`_star_count`) already reaches that value.
+What the search reads of S alone is found once per S, in `_Terminals`.
 
 Each level packs inclusion-minimal Steiner trees one slot at a time.
 Within a packing each tree owns at least one edge at every terminal, so
@@ -127,6 +128,28 @@ class KappaKResult:
         }
 
 
+class _Terminals:
+    """What the level search reads of S alone, found once per terminal set:
+    `roots` (S by degree, then id; `roots[0]` is the anchor), the edges at
+    S (`at_s`) and inside it (`inner_e`), and the non-terminals next to S
+    (`near`, from the neighbour masks `bits.nbrs`)."""
+
+    __slots__ = ("members", "smask", "roots", "at_s", "inner_e", "near")
+
+    def __init__(self, bits: GraphBits, members: tuple[int, ...]):
+        einc = bits.einc
+        self.members = members
+        self.smask = mask_of(members)
+        self.roots = sorted(members, key=lambda s: (einc[s].bit_count(), s))
+        at_s = inner_e = near = 0
+        for s in members:
+            inner_e |= einc[s] & at_s  # an edge an earlier terminal has too
+            at_s |= einc[s]
+            near |= bits.nbrs[s]
+        self.at_s, self.inner_e = at_s, inner_e
+        self.near = list(iter_bits(near & ~self.smask))
+
+
 def _flow_at_least(
     bits: GraphBits,
     smask: int,
@@ -226,26 +249,18 @@ def _flow_at_least(
     return flow
 
 
-def _bound(
-    bits: GraphBits,
-    smask: int,
-    terminals: tuple[int, ...],
-    avail_e: int,
-    cap: int,
-    need: int,
-) -> int:
-    """min(cap, U) for the available subgraph, or any value below `need`
-    once one is found.  U is the least of the terminal degrees,
-    |E| // (|S| - 1) (each tree needs |S| - 1 edges) and the flow bound:
-    the fewest routes from the terminal of least degree to any other
-    terminal, since each tree of a packing gives one route."""
-    degrees = [(bits.einc[s] & avail_e).bit_count() for s in terminals]
-    least = min(degrees)
-    cap = min(cap, least, avail_e.bit_count() // (len(terminals) - 1))
-    src = terminals[degrees.index(least)]
-    for t in terminals:
+def _bound(bits: GraphBits, ts: _Terminals, avail_e: int, cap: int, need: int) -> int:
+    """min(cap, the flow bound) for the available subgraph, or any value
+    below `need` once one is found: the fewest routes from the terminal of
+    least available degree to any other, since each tree of a packing
+    gives one.
+    The cheap terms of U are the callers': `_climb` caps by them at the
+    root, and `prune` checks them on every remainder this runs on."""
+    degrees = [(bits.einc[s] & avail_e).bit_count() for s in ts.members]
+    src = ts.members[degrees.index(min(degrees))]
+    for t in ts.members:
         if t != src and cap >= need:
-            cap = _flow_at_least(bits, smask, avail_e, src, t, cap)
+            cap = _flow_at_least(bits, ts.smask, avail_e, src, t, cap)
     return cap
 
 
@@ -261,17 +276,7 @@ def _remainder(bits: GraphBits, smask: int, avail_e: int, tree_e: int, tree_v: i
     return avail_e
 
 
-def _edges_at(bits: GraphBits, smask: int) -> tuple[int, int]:
-    """The edges at some terminal, and those of them inside S: an edge at
-    a terminal that an earlier terminal also has joins the two."""
-    at_s = inner_e = 0
-    for s in iter_bits(smask):
-        inner_e |= bits.einc[s] & at_s
-        at_s |= bits.einc[s]
-    return at_s, inner_e
-
-
-def _star_count(bits: GraphBits, smask: int, root: int, need: int) -> int:
+def _star_count(bits: GraphBits, ts: _Terminals, need: int) -> int:
     """A lower bound on kappa(S) from stars, found without search.
 
     The star through a non-terminal next to every terminal is a tree on S,
@@ -280,23 +285,22 @@ def _star_count(bits: GraphBits, smask: int, root: int, need: int) -> int:
     more tree when the stars fall one short of `need`: on the edges inside
     S, or on any edges when there is no star to meet.  The non-terminals
     next to every terminal are the AND of the terminals' neighbour masks,
-    less S; `GraphBits` builds those masks (`bits.nbrs`) once per graph,
-    with its edge masks.
+    less S.  Like U it costs no expansion: `_climb` applies U's cheap
+    terms at the root and `prune` on each remainder, and `_bound` runs
+    only its flows.
     """
-    common = ~smask
-    for s in iter_bits(smask):
+    common = ~ts.smask
+    for s in ts.members:
         common &= bits.nbrs[s]
     count = common.bit_count()
     if count + 1 == need:
-        avail_e = _edges_at(bits, smask)[1] if count else bits.all_e
-        if extract_steiner_tree(bits, smask, avail_e, root) is not None:
+        avail_e = ts.inner_e if count else bits.all_e
+        if extract_steiner_tree(bits, ts.smask, avail_e, ts.roots[0]) is not None:
             count += 1
     return count
 
 
-def _greedy_packing(
-    bits: GraphBits, smask: int, anchor: int, cap: int
-) -> list[tuple[int, int]]:
+def _greedy_packing(bits: GraphBits, ts: _Terminals, root: int, cap: int) -> list[tuple[int, int]]:
     """Up to `cap` trees, each from what the earlier ones left.
 
     A non-terminal takes every edge it has from the later trees, so each
@@ -304,33 +308,27 @@ def _greedy_packing(
     S; a tree on S plus one non-terminal, least available degree first
     (then lowest id); the breadth-first tree on all available edges.  All
     three are `extract_steiner_tree` on a narrower mask, skipped when the
-    mask has too few edges for a tree.  The non-terminals next to S are the
-    OR of the terminals' neighbour masks `bits.nbrs` (built by `GraphBits`
-    once per graph), less S.
+    mask has too few edges for a tree.
     """
     einc = bits.einc
-    size = smask.bit_count()
-    at_s, inner_e = _edges_at(bits, smask)
-    near_v = 0
-    for s in iter_bits(smask):
-        near_v |= bits.nbrs[s]
-    near = list(iter_bits(near_v & ~smask))
+    smask, at_s, inner_e = ts.smask, ts.at_s, ts.inner_e
+    size = len(ts.members)
     packing = []
     avail_e = bits.all_e
     while len(packing) < cap:
         inner = inner_e & avail_e
         tree = None
         if inner.bit_count() >= size - 1:
-            tree = extract_steiner_tree(bits, smask, inner, anchor)
+            tree = extract_steiner_tree(bits, smask, inner, root)
         if tree is None:
-            for v in sorted(near, key=lambda v: ((einc[v] & avail_e).bit_count(), v)):
+            for v in sorted(ts.near, key=lambda v: ((einc[v] & avail_e).bit_count(), v)):
                 spokes = einc[v] & at_s & avail_e
                 if spokes.bit_count() >= 2 and (inner | spokes).bit_count() >= size:
-                    tree = extract_steiner_tree(bits, smask, inner | spokes, anchor)
+                    tree = extract_steiner_tree(bits, smask, inner | spokes, root)
                     if tree is not None:
                         break
         if tree is None:
-            tree = extract_steiner_tree(bits, smask, avail_e, anchor)
+            tree = extract_steiner_tree(bits, smask, avail_e, root)
             if tree is None:
                 break
         packing.append(tree)
@@ -340,7 +338,7 @@ def _greedy_packing(
 
 def _climb(
     bits: GraphBits,
-    terminals: tuple[int, ...],
+    ts: _Terminals,
     lo: int,
     hi: int | None,
     counter: _Budget,
@@ -358,22 +356,21 @@ def _climb(
     budget ran out, and value is then a lower bound.  The bounds and the
     greedy packings are not charged to the budget.
     """
-    smask = mask_of(terminals)
+    smask, terminals = ts.smask, ts.members
     einc = bits.einc
-    roots = sorted(terminals, key=lambda s: (einc[s].bit_count(), s))
-    anchor = roots[0]
+    anchor = ts.roots[0]
     cap = min(einc[anchor].bit_count(), len(bits.edges) // (len(terminals) - 1))
     if hi is not None:
         cap = min(cap, hi)
     value, packing = lo - 1, None
     if lo < cap:
-        for root in roots:
-            greedy = _greedy_packing(bits, smask, root, cap)
+        for root in ts.roots:
+            greedy = _greedy_packing(bits, ts, root, cap)
             if len(greedy) == cap:
                 return cap, greedy, True
             if len(greedy) > value:
                 value, packing = len(greedy), greedy
-    cap = _bound(bits, smask, terminals, bits.all_e, cap, value + 1)
+    cap = _bound(bits, ts, bits.all_e, cap, value + 1)
     if cap <= value:
         return value, packing, True
     # At most one tree of any packing contains the blocked vertex, a
@@ -404,7 +401,7 @@ def _climb(
         remaining = need - 1
 
         def prune(tree_e: int, tree_v: int) -> bool:
-            """The cheap terms of `_bound` on what the tree would leave:
+            """The cheap terms of U on what the tree would leave:
             `remaining` free edges at every terminal and in all, S connected."""
             nonlocal wit_e
             rem_e = _remainder(bits, smask, avail_e, tree_e, tree_v)
@@ -431,9 +428,7 @@ def _climb(
             # only the flow can close it; the bound runs on the true
             # availability, since the ordering mask and the blocked vertex
             # constrain this slot's tree, not later ones
-            if remaining >= 2 and _bound(
-                bits, smask, terminals, next_e, remaining, remaining
-            ) < remaining:
+            if remaining >= 2 and _bound(bits, ts, next_e, remaining, remaining) < remaining:
                 continue
             anchor_edges = tree_e & einc[anchor]
             sub = search(next_e, remaining, (anchor_edges & -anchor_edges).bit_length() - 1)
@@ -467,7 +462,7 @@ def decide_kappa_at_least(
     terminals = TerminalSet.of(terminals).validate_in(graph)
     bits = GraphBits(graph)
     counter = _Budget(budget)
-    value, packing, exact = _climb(bits, terminals.members, k, k, counter)
+    value, packing, exact = _climb(bits, _Terminals(bits, terminals.members), k, k, counter)
     if value == k:
         return DecideResult("certificate", _to_certificate(bits, packing), counter.used)
     return DecideResult("refuted" if exact else "unknown", None, counter.used)
@@ -482,7 +477,7 @@ def kappa_set_exact(graph: Graph, terminals, budget: int | None = None) -> Solve
     terminals = TerminalSet.of(terminals).validate_in(graph)
     bits = GraphBits(graph)
     counter = _Budget(budget)
-    value, packing, exact = _climb(bits, terminals.members, 1, None, counter)
+    value, packing, exact = _climb(bits, _Terminals(bits, terminals.members), 1, None, counter)
     status = "exact" if exact else "lower-bound"
     return SolveResult(value, status, _to_certificate(bits, packing or []), counter.used)
 
@@ -506,9 +501,10 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
     for combo in itertools.combinations(range(graph.order), k):
         # a star count that reaches `best` shows kappa(S) >= best, so S
         # cannot lower the minimum
-        if best is not None and _star_count(bits, mask_of(combo), combo[0], best) >= best:
+        ts = _Terminals(bits, combo)
+        if best is not None and _star_count(bits, ts, best) >= best:
             continue
-        value, _, exact = _climb(bits, combo, 1, best, counter)
+        value, _, exact = _climb(bits, ts, 1, best, counter)
         if not exact:
             status = "upper-bound"
             break

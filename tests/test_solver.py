@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -20,11 +21,19 @@ from treeconn import (
     kappa_set_exact,
     menger_pair,
     path_graph,
+    reduce_3dm,
+    reduce_3sat,
     solver,
     verify_certificate,
 )
 from treeconn.certificates import TreeCertificate
-from treeconn.generators import random_connected_graph, random_graph, random_terminals
+from treeconn.generators import (
+    random_3dm,
+    random_cnf,
+    random_connected_graph,
+    random_graph,
+    random_terminals,
+)
 from treeconn.solver import (
     KappaKResult,
     _Budget,
@@ -33,6 +42,7 @@ from treeconn.solver import (
     _greedy_packing,
     _remainder,
     _star_count,
+    _Terminals,
 )
 from treeconn.steiner import (
     GraphBits,
@@ -179,7 +189,7 @@ def reference_kappa_k(graph: Graph, k: int, budget: int | None = None) -> KappaK
     best = argmin = None
     status = "exact"
     for combo in itertools.combinations(range(graph.order), k):
-        value, _, exact = _climb(bits, combo, 1, best, counter)
+        value, _, exact = _climb(bits, _Terminals(bits, combo), 1, best, counter)
         if not exact:
             status = "upper-bound"
             break
@@ -286,13 +296,14 @@ def test_star_count_adds_the_inner_tree_only_one_short_of_need():
     g = Graph(6, (
         (0, 1), (1, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4), (0, 5), (1, 5),
     ))
-    bits, smask = GraphBits(g), mask_of((0, 1, 2))
-    assert [_star_count(bits, smask, 0, need) for need in range(5)] == [2, 2, 2, 3, 2]
+    bits = GraphBits(g)
+    ts = _Terminals(bits, (0, 1, 2))
+    assert [_star_count(bits, ts, need) for need in range(5)] == [2, 2, 2, 3, 2]
     assert brute_force_kappa(g, (0, 1, 2)) == 3
     # without the edge 1-2 the edges inside S leave 2 apart
     g = Graph(6, tuple(e for e in g.edges if e != (1, 2)))
     bits = GraphBits(g)
-    assert _star_count(bits, smask, 0, 3) == 2
+    assert _star_count(bits, _Terminals(bits, (0, 1, 2)), 3) == 2
 
 
 def test_star_count_takes_any_tree_when_there_is_no_star():
@@ -300,10 +311,10 @@ def test_star_count_takes_any_tree_when_there_is_no_star():
     # the one tree that need 1 asks for may run anywhere.  kappa_3 of the
     # path is 1, so only the first subset is searched, at one expansion
     g = path_graph(5)
-    bits, smask = GraphBits(g), mask_of((0, 2, 4))
-    assert [_star_count(bits, smask, 0, need) for need in range(3)] == [0, 1, 0]
+    bits = GraphBits(g)
+    assert [_star_count(bits, _Terminals(bits, (0, 2, 4)), need) for need in range(3)] == [0, 1, 0]
     split = GraphBits(Graph(5, ((0, 1), (1, 2), (3, 4))))
-    assert _star_count(split, smask, 0, 1) == 0
+    assert _star_count(split, _Terminals(split, (0, 2, 4)), 1) == 0
     r = kappa_k_graph(g, 3)
     assert (r.value, r.subset.members, r.status, r.expansions) == (1, (0, 1, 2), "exact", 1)
 
@@ -321,10 +332,38 @@ def test_star_count_never_exceeds_kappa(seed, order, p):
     rng = random.Random(seed)
     g = random_graph(rng, order, p)
     s = random_terminals(rng, g, rng.randint(2, min(5, order))).members
-    bits, smask = GraphBits(g), mask_of(s)
+    bits = GraphBits(g)
+    ts = _Terminals(bits, s)
     value = brute_force_kappa(g, s)
     for need in range(order + 2):
-        assert _star_count(bits, smask, s[0], need) <= value
+        assert _star_count(bits, ts, need) <= value
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=2, max_value=9),
+    st.sampled_from([0.2, 0.4, 0.6]),
+)
+def test_terminals_match_their_definitions(seed, order, p):
+    """`_Terminals` finds each fact of S once, for every routine that reads
+    it; each must be what its name says, read off the edge list, and the
+    star count built on it never exceeds kappa(S)."""
+    rng = random.Random(seed)
+    g = random_graph(rng, order, p)
+    s = random_terminals(rng, g, rng.randint(2, min(5, order))).members
+    bits = GraphBits(g)
+    ts = _Terminals(bits, s)
+    inside = [(u in s) + (v in s) for u, v in g.edges]
+    assert (ts.members, ts.smask) == (s, mask_of(s))
+    assert ts.at_s == mask_of(e for e, ends in enumerate(inside) if ends)
+    assert ts.inner_e == mask_of(e for e, ends in enumerate(inside) if ends == 2)
+    near = {w for edge in g.edges if {*edge} & {*s} for w in edge} - {*s}
+    assert ts.near == sorted(near)
+    assert ts.roots == sorted(s, key=lambda v: (g.degree(v), v))
+    value = kappa_set_exact(g, s).value
+    for need in range(order + 2):
+        assert _star_count(bits, ts, need) <= value
 
 
 @settings(max_examples=40, deadline=None)
@@ -362,13 +401,22 @@ def test_climb_refutes_a_level_between_greedy_and_bound():
     ))
     s = (0, 1, 2, 3, 7)
     bits = GraphBits(g)
-    smask = mask_of(s)
-    assert _bound(bits, smask, s, bits.all_e, g.edge_count, 1) == 4
-    assert len(_greedy_packing(bits, smask, 0, 4)) == 1
+    ts = _Terminals(bits, s)
+    # each terminal has 4 edges, and 17 edges hold 4 trees of 4 edges
+    assert _cheap_cap(bits, ts) == 4
+    assert _bound(bits, ts, bits.all_e, 4, 1) == 4
+    assert len(_greedy_packing(bits, ts, 0, 4)) == 1
     result = kappa_set_exact(g, s)
     assert (result.value, result.status) == (2, "exact")
     assert brute_force_kappa(g, s) == 2
     assert decide_kappa_at_least(g, s, 3).outcome == "refuted"
+
+
+def _cheap_cap(bits: GraphBits, ts: _Terminals) -> int:
+    """The cheap terms of U on the whole graph, by which `_climb` caps the
+    levels before `_bound` runs its flows: the anchor's degree, the least
+    of S, and |E| // (|S| - 1)."""
+    return min(bits.einc[ts.roots[0]].bit_count(), len(bits.edges) // (len(ts.members) - 1))
 
 
 def _settled_without_search(g: Graph, s: tuple[int, ...], value: int) -> None:
@@ -383,36 +431,41 @@ def test_climb_packs_greedily_from_every_terminal():
     # 2, and the greedy packing from 0 fills it
     g = Graph(5, ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3)))
     s = (0, 1, 3)
-    bits, smask = GraphBits(g), mask_of(s)
-    assert [len(_greedy_packing(bits, smask, root, 2)) for root in (1, 0)] == [1, 2]
+    bits = GraphBits(g)
+    ts = _Terminals(bits, s)
+    assert [len(_greedy_packing(bits, ts, root, 2)) for root in (1, 0)] == [1, 2]
     _settled_without_search(g, s, 2)
 
 
 def test_climb_stops_when_the_greedy_packing_reaches_the_flow_bound():
     # the cheap terms cap at 2, one greedy tree is all there is, and the
-    # flows, run only after the greedy packings, cap at 1
+    # flows, run only after the greedy packings, cap at 1.  `_bound`
+    # applies no cheap term itself: when `need` is above its cap it runs
+    # no flow and returns the cap it was given
     g = Graph(5, ((0, 1), (0, 3), (2, 3), (2, 4)))
     s = (0, 2, 3)
-    bits, smask = GraphBits(g), mask_of(s)
-    assert _bound(bits, smask, s, bits.all_e, g.edge_count, g.edge_count + 1) == 2
-    assert _bound(bits, smask, s, bits.all_e, g.edge_count, 1) == 1
-    assert len(_greedy_packing(bits, smask, 0, 2)) == 1
+    bits = GraphBits(g)
+    ts = _Terminals(bits, s)
+    assert _cheap_cap(bits, ts) == 2
+    assert _bound(bits, ts, bits.all_e, g.edge_count, g.edge_count + 1) == g.edge_count
+    assert _bound(bits, ts, bits.all_e, 2, 1) == 1
+    assert len(_greedy_packing(bits, ts, 0, 2)) == 1
     _settled_without_search(g, s, 1)
 
 
 def reference_greedy_packing(
-    bits: GraphBits, smask: int, anchor: int, cap: int
+    bits: GraphBits, ts: _Terminals, anchor: int, cap: int
 ) -> list[tuple[int, int]]:
     """`_greedy_packing` with only its last step: each tree is the
     breadth-first tree on all the edges the earlier ones left."""
     packing = []
     avail_e = bits.all_e
     while len(packing) < cap:
-        tree = extract_steiner_tree(bits, smask, avail_e, anchor)
+        tree = extract_steiner_tree(bits, ts.smask, avail_e, anchor)
         if tree is None:
             break
         packing.append(tree)
-        avail_e = _remainder(bits, smask, avail_e, *tree)
+        avail_e = _remainder(bits, ts.smask, avail_e, *tree)
     return packing
 
 
@@ -425,11 +478,11 @@ def test_greedy_takes_a_tree_inside_s_first():
     # 0 takes the star that a second tree needs
     g = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))
     bits = GraphBits(g)
-    smask = mask_of((1, 2, 3))
-    inside = (_edge_mask(g, (1, 2), (2, 3)), smask)
+    ts = _Terminals(bits, (1, 2, 3))
+    inside = (_edge_mask(g, (1, 2), (2, 3)), ts.smask)
     star = (_edge_mask(g, (0, 1), (0, 2), (0, 3)), 0b1111)
-    assert _greedy_packing(bits, smask, 1, 3) == [inside, star]
-    assert reference_greedy_packing(bits, smask, 1, 3) == [
+    assert _greedy_packing(bits, ts, 1, 3) == [inside, star]
+    assert reference_greedy_packing(bits, ts, 1, 3) == [
         (_edge_mask(g, (0, 1), (0, 3), (1, 2)), 0b1111)
     ]
 
@@ -442,10 +495,10 @@ def test_greedy_then_takes_one_non_terminal_of_least_degree():
         (0, 3), (1, 3), (2, 3), (3, 6), (3, 7), (0, 4), (1, 4), (2, 4), (0, 5), (1, 5), (2, 5),
     ))
     bits = GraphBits(g)
-    smask = mask_of((0, 1, 2))
-    through = {v: (_edge_mask(g, (0, v), (1, v), (2, v)), smask | 1 << v) for v in (3, 4, 5)}
-    assert _greedy_packing(bits, smask, 0, 3) == [through[4], through[5], through[3]]
-    assert reference_greedy_packing(bits, smask, 0, 1) == [through[3]]
+    ts = _Terminals(bits, (0, 1, 2))
+    through = {v: (_edge_mask(g, (0, v), (1, v), (2, v)), ts.smask | 1 << v) for v in (3, 4, 5)}
+    assert _greedy_packing(bits, ts, 0, 3) == [through[4], through[5], through[3]]
+    assert reference_greedy_packing(bits, ts, 0, 1) == [through[3]]
 
 
 def test_greedy_falls_back_to_the_breadth_first_tree(monkeypatch):
@@ -453,7 +506,7 @@ def test_greedy_falls_back_to_the_breadth_first_tree(monkeypatch):
     # tree takes the path 0-5-4-2 through two non-terminals
     g = Graph(6, ((0, 1), (0, 3), (1, 3), (0, 5), (4, 5), (2, 4)))
     bits = GraphBits(g)
-    smask = mask_of((0, 1, 2))
+    ts = _Terminals(bits, (0, 1, 2))
     masks = []
 
     def extract(bits, smask, avail_e, root):
@@ -461,8 +514,8 @@ def test_greedy_falls_back_to_the_breadth_first_tree(monkeypatch):
         return extract_steiner_tree(bits, smask, avail_e, root)
 
     monkeypatch.setattr(solver, "extract_steiner_tree", extract)
-    packing = _greedy_packing(bits, smask, 0, 2)
-    assert packing == [(_edge_mask(g, (0, 1), (0, 5), (4, 5), (2, 4)), smask | mask_of((4, 5)))]
+    packing = _greedy_packing(bits, ts, 0, 2)
+    assert packing == [(_edge_mask(g, (0, 1), (0, 5), (4, 5), (2, 4)), ts.smask | mask_of((4, 5)))]
     # one inner edge is too few for step 1; 3 with its two edges into S is
     # tried and fails; then the breadth-first tree.  For the second tree
     # only the breadth-first step has edges enough, and S is split there
@@ -532,6 +585,33 @@ def test_solver_is_deterministic():
                 assert json.dumps(call().to_obj(), sort_keys=True) == first
 
 
+def test_solver_outputs_are_pinned():
+    """Every answer, certificate and expansion count of the three entry
+    points, byte for byte, on the benchmark's instance shapes: a change to
+    the search or its bounds that moves any of them shows here."""
+    digest = hashlib.sha256()
+
+    def add(result) -> None:
+        digest.update((json.dumps(result.to_obj(), sort_keys=True) + "\n").encode())
+
+    rng = random.Random(26)
+    for i in range(300):
+        g = random_connected_graph(rng, 10, 0.4)
+        add(kappa_set_exact(g, random_terminals(rng, g, (2, 3, 4)[i % 3])))
+    for _ in range(40):
+        add(kappa_k_graph(random_connected_graph(rng, 7, 0.8), 3))
+    for i in range(60):
+        kind, a, b = [("3sat", 3, 4), ("3dm", 3, 5), ("3sat", 4, 4), ("3dm", 2, 4)][i % 4]
+        if kind == "3sat":
+            red = reduce_3sat(random_cnf(rng, a, b))
+        else:
+            red = reduce_3dm(random_3dm(rng, a, b))
+        add(decide_kappa_at_least(red.graph, red.terminals, red.threshold))
+    assert digest.hexdigest() == (
+        "0727cb12f43a85d55737ed53aee2deba39965cb771c12cbd4f7c7277176b6206"
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_bounds_are_admissible(seed):
@@ -541,14 +621,14 @@ def test_bounds_are_admissible(seed):
     g = random_graph(rng, rng.randint(3, 8), 0.45)
     s = random_terminals(rng, g, rng.randint(2, min(4, g.order)))
     bits = GraphBits(g)
-    smask = mask_of(s.members)
+    ts = _Terminals(bits, s.members)
     value = brute_force_kappa(g, s)
-    upper = _bound(bits, smask, s.members, bits.all_e, g.edge_count, 1)
+    upper = _bound(bits, ts, bits.all_e, _cheap_cap(bits, ts), 1)
     assert value <= upper
     if len(s) == 2:
         assert upper == menger_pair(g, *s.members)
     for root in s:
-        greedy = _greedy_packing(bits, smask, root, g.order)
+        greedy = _greedy_packing(bits, ts, root, g.order)
         cert = TreeCertificate(tuple(tree_from_masks(bits, te, tv) for te, tv in greedy))
         assert verify_certificate(g, s, cert).valid
         assert len(greedy) <= value
