@@ -21,8 +21,10 @@ What is left is searched at the cap first, then upwards from L + 1 to the
 first refuted level.  `decide_kappa_at_least` asks for the single level
 k, `kappa_set_exact` for every level from 1, and `kappa_k_graph` for each
 k-subset's levels up to the best value found so far, after skipping each
-later subset whose star count (`_star_count`) already reaches that value.
-What the search reads of S alone is found once per S, in `_Terminals`.
+later subset whose connectors already reach that value: internally
+disjoint trees of at most two non-terminals each, read off the neighbour
+masks by `_connectors`.  What the search reads of S alone is found once
+per S, in `_Terminals`, for the subsets the connectors leave open.
 
 Each level packs inclusion-minimal Steiner trees one slot at a time.
 Within a packing each tree owns at least one edge at every terminal, so
@@ -52,6 +54,7 @@ sharing no bound or enumeration code with the main solver.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .certificates import TreeCertificate, certificate_to_obj
@@ -276,28 +279,131 @@ def _remainder(bits: GraphBits, smask: int, avail_e: int, tree_e: int, tree_v: i
     return avail_e
 
 
-def _star_count(bits: GraphBits, ts: _Terminals, need: int) -> int:
-    """A lower bound on kappa(S) from stars, found without search.
+def _connectors(bits: GraphBits, members: tuple[int, ...], need: int) -> list[tuple[int, int]]:
+    """Internally disjoint trees on S with at most two non-terminals each,
+    found from the neighbour masks without search, as (edge mask, vertex
+    mask) pairs: their number is a lower bound on kappa(S).
 
-    The star through a non-terminal next to every terminal is a tree on S,
-    and a tree on the edges inside S meets no star outside S, so these
-    trees are internally disjoint.  The bound counts the stars, plus one
-    more tree when the stars fall one short of `need`: on the edges inside
-    S, or on any edges when there is no star to meet.  The non-terminals
-    next to every terminal are the AND of the terminals' neighbour masks,
-    less S.  Like U it costs no expansion: `_climb` applies U's cheap
-    terms at the root and `prune` on each remainder, and `_bound` runs
-    only its flows.
+    A tree's non-terminals are its own, so trees through disjoint sets of
+    non-terminals compete only for the edges inside S.  The trees are a
+    star through each non-terminal next to all of S; pairs of the other
+    non-terminals that together reach all of S and are adjacent or share
+    a terminal, matched greedily (`_match`); and, from the edges inside S,
+    a tree inside S or an edge that completes a non-terminal next to all
+    of S but one terminal.  When G[S] has at most three edges every way
+    of spending them is tried (`_completions`), else they form one tree
+    inside S if they connect it.  With none of these trees and `need` 1,
+    one tree anywhere is taken.  The search stops once `need` trees are
+    found, though every star is counted.  Like U it costs no expansion.
     """
-    common = ~ts.smask
-    for s in ts.members:
-        common &= bits.nbrs[s]
-    count = common.bit_count()
-    if count + 1 == need:
-        avail_e = ts.inner_e if count else bits.all_e
-        if extract_steiner_tree(bits, ts.smask, avail_e, ts.roots[0]) is not None:
-            count += 1
-    return count
+    einc, nbrs, evmask = bits.einc, bits.nbrs, bits.evmask
+    smask = at_s = inner_e = near = 0
+    common = -1
+    for s in members:
+        smask |= 1 << s
+        inner_e |= einc[s] & at_s  # an edge an earlier terminal has too
+        at_s |= einc[s]
+        near |= nbrs[s]
+        common &= nbrs[s]
+    common &= ~smask
+    trees = [(einc[v] & at_s, smask | 1 << v) for v in iter_bits(common)]
+    if len(trees) >= need:
+        return trees
+    size = len(members)
+    if inner_e.bit_count() <= 3:
+        # a tree inside S is |S| - 1 of its edges that reach all of S
+        insides = []
+        for pick in itertools.combinations(iter_bits(inner_e), size - 1):
+            ends = tree_e = 0
+            for e in pick:
+                ends |= evmask[e]
+                tree_e |= 1 << e
+            if ends == smask:
+                insides.append(tree_e)
+    else:
+        tree = extract_steiner_tree(bits, smask, inner_e, members[0])
+        insides, inner_e = ([] if tree is None else [tree[0]]), 0
+    # the other non-terminals next to S, each with the terminals it reaches
+    reach = {v: nbrs[v] & smask for v in iter_bits(near & ~smask & ~common)}
+    partners = dict.fromkeys(reach, 0)
+    for v, w in itertools.combinations(reach, 2):
+        if reach[v] | reach[w] == smask and (nbrs[v] >> w & 1 or reach[v] & reach[w]):
+            partners[v] |= 1 << w
+            partners[w] |= 1 << v
+    # the terminal missed by each non-terminal next to all of S but one
+    missed = {v: smask & ~r for v, r in reach.items() if r.bit_count() == size - 1 > 1}
+    everyone = mask_of(reach)
+    spendings = (
+        (inside, done)
+        for inside in insides + [0]
+        for done in _completions(evmask, missed, inner_e & ~inside)
+    )
+    found: tuple = (0, 0, [], [])
+    for inside, done in spendings:
+        pool = everyone
+        for v, _ in done:
+            pool ^= 1 << v
+        pairs = _match(partners, pool)
+        count = bool(inside) + len(done) + len(pairs)
+        if count > found[0]:
+            found = (count, inside, done, pairs)
+            if len(trees) + count >= need:
+                break
+    _, inside, done, pairs = found
+    if inside:
+        trees.append((inside, smask))
+    for v, e in done:
+        trees.append(((einc[v] & at_s) | e, smask | 1 << v))
+    for v, w in pairs:
+        # v takes its terminals, w the rest, joined to v by their edge or,
+        # when they are not adjacent, through a terminal both reach
+        link = einc[v] & einc[w]
+        rest = smask & ~reach[v]
+        if not link:
+            shared = reach[v] & reach[w]
+            rest |= shared & -shared
+        spokes = 0
+        for t in iter_bits(rest):
+            spokes |= einc[t]
+        trees.append(((einc[v] & at_s) | link | (einc[w] & spokes), smask | 1 << v | 1 << w))
+    if not trees and need == 1:
+        tree = extract_steiner_tree(bits, smask, bits.all_e, members[0])
+        if tree is not None:
+            trees.append(tree)
+    return trees
+
+
+def _match(partners: dict[int, int], pool: int) -> list[tuple[int, int]]:
+    """Disjoint pairs of partners from `pool`, greedily: the non-terminal
+    with the fewest partners left first (ties by id), with its lowest."""
+    pairs = []
+    while True:
+        left = [((partners[v] & pool).bit_count(), v) for v in iter_bits(pool) if partners[v] & pool]
+        if not left:
+            return pairs
+        v = min(left)[1]
+        mates = partners[v] & pool
+        w = (mates & -mates).bit_length() - 1
+        pairs.append((v, w))
+        pool &= ~(1 << v | 1 << w)
+
+
+def _completions(
+    evmask: list[int], missed: dict[int, int], spare: int, used: int = 0
+) -> Iterator[list[tuple[int, int]]]:
+    """Every way to give each edge of `spare` to at most one non-terminal
+    whose missed terminal it reaches, each non-terminal at most once, as
+    lists of (non-terminal, edge bit); fuller ways first."""
+    if not spare:
+        yield []
+        return
+    low = spare & -spare
+    ends = evmask[low.bit_length() - 1]
+    for v, t in missed.items():
+        if t & ends and not used >> v & 1:
+            for rest in _completions(evmask, missed, spare ^ low, used | 1 << v):
+                yield [(v, low), *rest]
+    yield from _completions(evmask, missed, spare ^ low, used)
 
 
 def _greedy_packing(bits: GraphBits, ts: _Terminals, root: int, cap: int) -> list[tuple[int, int]]:
@@ -487,10 +593,11 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
 
     Subsets are scanned in lexicographic order; later subsets only need to
     be resolved below the best value seen so far.  A later subset is
-    skipped when `_star_count` reaches that value; like the bounds, the
-    count is not charged to the budget, so such a subset costs no
-    expansion.  The others go to `_climb` with that value as `hi`, where a
-    greedy packing that reaches it also settles the subset for free.
+    skipped when `_connectors` finds that many trees on it; like the
+    bounds, the screen is not charged to the budget, so such a subset
+    costs no expansion.  The others go to `_climb` with that value as
+    `hi`, where a greedy packing that reaches it also settles the subset
+    for free.
     """
     _int_arg(k, "k", 2, graph.order)
     counter = _Budget(budget)
@@ -499,12 +606,11 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
     argmin: tuple[int, ...] | None = None
     status = "exact"
     for combo in itertools.combinations(range(graph.order), k):
-        # a star count that reaches `best` shows kappa(S) >= best, so S
-        # cannot lower the minimum
-        ts = _Terminals(bits, combo)
-        if best is not None and _star_count(bits, ts, best) >= best:
+        # `best` connectors show kappa(S) >= best, so S cannot lower the
+        # minimum
+        if best is not None and len(_connectors(bits, combo, best)) >= best:
             continue
-        value, _, exact = _climb(bits, ts, 1, best, counter)
+        value, _, exact = _climb(bits, _Terminals(bits, combo), 1, best, counter)
         if not exact:
             status = "upper-bound"
             break

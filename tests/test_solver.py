@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -39,9 +40,9 @@ from treeconn.solver import (
     _Budget,
     _bound,
     _climb,
+    _connectors,
     _greedy_packing,
     _remainder,
-    _star_count,
     _Terminals,
 )
 from treeconn.steiner import (
@@ -183,7 +184,8 @@ def test_kappa_k_budget_flag():
 
 
 def reference_kappa_k(graph: Graph, k: int, budget: int | None = None) -> KappaKResult:
-    """`kappa_k_graph` without the star count: `_climb` on every subset."""
+    """`kappa_k_graph` without the connector screen: `_climb` on every
+    subset."""
     counter = _Budget(budget)
     bits = GraphBits(graph)
     best = argmin = None
@@ -235,12 +237,12 @@ def test_connectivity_prune_expansions_are_pinned():
     assert (d.outcome, d.expansions) == ("certificate", 224)
     d = decide_kappa_at_least(_SPLIT_BY_PRUNE["order8"], (0, 2, 3, 4), 2)
     assert (d.outcome, d.expansions) == ("certificate", 13)
-    # the greedy packings in `_climb` settle most subsets; without the
-    # connectivity veto the subsets they leave cost 50 expansions.  The star
-    # count settles none here that the greedy packings leave open, so the
-    # reference without it costs the same
+    # the connector screen and the greedy packings in `_climb` settle most
+    # subsets; without the connectivity veto the subsets they leave cost 35
+    # expansions.  The reference has no screen, so it searches subsets the
+    # screen settles, at 50 expansions without the veto
     kk = kappa_k_graph(_SPLIT_BY_PRUNE["order7"], 3)
-    assert (kk.value, kk.subset.members, kk.expansions) == (2, (0, 1, 4), 38)
+    assert (kk.value, kk.subset.members, kk.expansions) == (2, (0, 1, 4), 23)
     ref = reference_kappa_k(_SPLIT_BY_PRUNE["order7"], 3)
     assert (ref.value, ref.subset.members, ref.expansions) == (2, (0, 1, 4), 38)
 
@@ -268,14 +270,41 @@ def test_kappa_k_screen_matches_reference(seed, order, p):
 
 
 
+def reference_star_count(bits: GraphBits, ts: _Terminals, need: int) -> int:
+    """The screen `_connectors` replaced: the non-terminals next to all of
+    S, plus one tree when they fall one short of `need`, on the edges
+    inside S, or anywhere when there is no such non-terminal."""
+    common = ~ts.smask
+    for s in ts.members:
+        common &= bits.nbrs[s]
+    count = common.bit_count()
+    if count + 1 == need:
+        avail_e = ts.inner_e if count else bits.all_e
+        if extract_steiner_tree(bits, ts.smask, avail_e, ts.roots[0]) is not None:
+            count += 1
+    return count
+
+
+def _connector_count(g: Graph, s: tuple[int, ...], need: int) -> int:
+    """How many trees `_connectors` finds, after checking that they are a
+    packing: trees on S, edge-disjoint and meeting only in S."""
+    bits = GraphBits(g)
+    trees = _connectors(bits, s, need)
+    cert = TreeCertificate(tuple(tree_from_masks(bits, te, tv) for te, tv in trees))
+    report = verify_certificate(g, s, cert)
+    assert report.valid, report.violations
+    return len(cert)
+
+
 @pytest.mark.parametrize("n, value, expansions", [(6, 4, 49), (7, 5, 123), (8, 6, 293)])
 def test_star_count_settles_every_later_subset_of_a_complete_graph(
     monkeypatch, n, value, expansions
 ):
     """kappa_3(K_n) = n - ceil(3/2) (Chartrand, Okamoto and Zhang, Networks
     2010).  The first subset sets the best value n - 2; every later one has
-    n - 3 common neighbours and a triangle inside S, so the only greedy
-    packings are the first subset's in `_climb`, one from each terminal."""
+    n - 3 stars and a triangle inside S, so the connector screen settles it
+    and the only greedy packings are the first subset's in `_climb`, one
+    from each terminal."""
     calls = []
 
     def greedy(*args):
@@ -287,34 +316,64 @@ def test_star_count_settles_every_later_subset_of_a_complete_graph(
     assert (r.value, r.subset.members, r.status) == (value, (0, 1, 2), "exact")
     assert r.expansions == expansions
     assert [args[2] for args in calls] == [0, 1, 2]
+    assert _connector_count(complete_graph(n), (1, 2, 3), value) == value
 
 
-def test_star_count_adds_the_inner_tree_only_one_short_of_need():
-    # 3 and 4 reach all of S = {0, 1, 2}, 5 misses 2; the path 0-1-2 lies
-    # inside S, so there are three trees, the third counted only when it
-    # settles need
+def test_connectors_spend_the_inner_edges_jointly():
+    # 3 and 4 reach all of S = {0, 1, 2}, 5 misses 2, and the edges inside
+    # S are the path 0-1-2: they form a tree inside S, or 1-2 completes 5,
+    # not both, so there are three trees at most, counted once the stars
+    # fall short of need
     g = Graph(6, (
         (0, 1), (1, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4), (0, 5), (1, 5),
     ))
-    bits = GraphBits(g)
-    ts = _Terminals(bits, (0, 1, 2))
-    assert [_star_count(bits, ts, need) for need in range(5)] == [2, 2, 2, 3, 2]
+    assert [_connector_count(g, (0, 1, 2), need) for need in range(5)] == [2, 2, 2, 3, 3]
     assert brute_force_kappa(g, (0, 1, 2)) == 3
-    # without the edge 1-2 the edges inside S leave 2 apart
+    # with 0-2 too the edges inside S are a triangle: two of them form the
+    # tree inside S and the third completes 5
+    g2 = Graph(6, (*g.edges, (0, 2)))
+    assert _connector_count(g2, (0, 1, 2), 4) == 4 == brute_force_kappa(g2, (0, 1, 2))
+    # without 1-2 the edges inside S neither connect S nor reach 2
     g = Graph(6, tuple(e for e in g.edges if e != (1, 2)))
+    assert _connector_count(g, (0, 1, 2), 3) == 2
+    # `treeconn gen graph --connected --seed 1`, S = {1, 5, 7}: the edge 5-7
+    # completes 3 (which misses 7) or 4 (which misses 5); given to 4, it
+    # leaves 3 to pair with 6, so two trees settle S for kappa_3 = 2
+    g = Graph(8, (
+        (0, 1), (0, 4), (1, 3), (1, 4), (2, 3), (2, 6), (3, 5), (3, 6), (4, 6), (4, 7),
+        (5, 7), (6, 7),
+    ))
+    assert _connector_count(g, (1, 5, 7), 2) == 2 == kappa_set_exact(g, (1, 5, 7)).value
+
+
+def test_connectors_match_pairs_with_the_fewest_partners_first():
+    # S = {0, 1}: 2 and 4 reach 0, 3 and 5 reach 1, and the pairs are the
+    # edges 2-3, 2-5 and 3-4.  4 and 5 have one partner each, so 4-3 is
+    # matched first and 2-5 after it; 2-3 first would leave one pair
+    g = Graph(6, ((0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4)))
+    assert _connector_count(g, (0, 1), 3) == 2 == menger_pair(g, 0, 1)
     bits = GraphBits(g)
-    assert _star_count(bits, _Terminals(bits, (0, 1, 2)), 3) == 2
+    assert [tv for _, tv in _connectors(bits, (0, 1), 3)] == [
+        mask_of((0, 1, 3, 4)), mask_of((0, 1, 2, 5))
+    ]
+    # S = {0, 1, 2}: 3 and 4 are not adjacent but share the terminal 1
+    g = Graph(5, ((0, 3), (1, 3), (1, 4), (2, 4)))
+    assert _connector_count(g, (0, 1, 2), 2) == 1
+    # on the cycle 0-1-...-7 with S = {0, 2, 4, 6}, 1 and 5 (or 3 and 7)
+    # reach all of S together, but they are not adjacent and share no
+    # terminal, so no pair forms
+    assert _connector_count(cycle_graph(8), (0, 2, 4, 6), 2) == 0
 
 
 def test_star_count_takes_any_tree_when_there_is_no_star():
-    # no vertex of the path 0-1-2-3-4 is next to all of S = {0, 2, 4}, so
-    # the one tree that need 1 asks for may run anywhere.  kappa_3 of the
-    # path is 1, so only the first subset is searched, at one expansion
+    # on the path 0-1-2-3-4, S = {0, 1, 4} has no connector: 2 and 3 reach
+    # only 1 and 4, and the one edge inside S, 0-1, leaves 4 apart; so the
+    # one tree that need 1 asks for may run anywhere.  kappa_3 of the path
+    # is 1, so only the first subset is searched, at one expansion
     g = path_graph(5)
-    bits = GraphBits(g)
-    assert [_star_count(bits, _Terminals(bits, (0, 2, 4)), need) for need in range(3)] == [0, 1, 0]
-    split = GraphBits(Graph(5, ((0, 1), (1, 2), (3, 4))))
-    assert _star_count(split, _Terminals(split, (0, 2, 4)), 1) == 0
+    assert [_connector_count(g, (0, 1, 4), need) for need in range(3)] == [0, 1, 0]
+    split = Graph(5, ((0, 1), (1, 2), (3, 4)))
+    assert _connector_count(split, (0, 1, 4), 1) == 0
     r = kappa_k_graph(g, 3)
     assert (r.value, r.subset.members, r.status, r.expansions) == (1, (0, 1, 2), "exact", 1)
 
@@ -322,21 +381,22 @@ def test_star_count_takes_any_tree_when_there_is_no_star():
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10**6),
-    st.integers(min_value=2, max_value=7),
-    st.sampled_from([0.3, 0.45, 0.55]),
+    st.integers(min_value=2, max_value=9),
+    st.sampled_from([0.3, 0.5, 0.7, 0.9]),
 )
-def test_star_count_never_exceeds_kappa(seed, order, p):
-    """The stars and the inner tree are internally disjoint trees on S, so
-    for any `need` their count is at most kappa(S).  The oracle stalls on
-    denser graphs of order 8, hence order <= 7 and p <= 0.55."""
+def test_connectors_never_exceed_kappa(seed, order, p):
+    """At every `need` the screen's trees verify as a packing, so their
+    number is at most kappa(S); and it is at least the star count that
+    screened the subsets before."""
     rng = random.Random(seed)
     g = random_graph(rng, order, p)
     s = random_terminals(rng, g, rng.randint(2, min(5, order))).members
     bits = GraphBits(g)
     ts = _Terminals(bits, s)
-    value = brute_force_kappa(g, s)
+    value = kappa_set_exact(g, s).value
     for need in range(order + 2):
-        assert _star_count(bits, ts, need) <= value
+        count = _connector_count(g, s, need)
+        assert reference_star_count(bits, ts, need) <= count <= value
 
 
 @settings(max_examples=150, deadline=None)
@@ -347,8 +407,7 @@ def test_star_count_never_exceeds_kappa(seed, order, p):
 )
 def test_terminals_match_their_definitions(seed, order, p):
     """`_Terminals` finds each fact of S once, for every routine that reads
-    it; each must be what its name says, read off the edge list, and the
-    star count built on it never exceeds kappa(S)."""
+    it; each must be what its name says, read off the edge list."""
     rng = random.Random(seed)
     g = random_graph(rng, order, p)
     s = random_terminals(rng, g, rng.randint(2, min(5, order))).members
@@ -361,9 +420,6 @@ def test_terminals_match_their_definitions(seed, order, p):
     near = {w for edge in g.edges if {*edge} & {*s} for w in edge} - {*s}
     assert ts.near == sorted(near)
     assert ts.roots == sorted(s, key=lambda v: (g.degree(v), v))
-    value = kappa_set_exact(g, s).value
-    for need in range(order + 2):
-        assert _star_count(bits, ts, need) <= value
 
 
 @settings(max_examples=40, deadline=None)
@@ -585,31 +641,71 @@ def test_solver_is_deterministic():
                 assert json.dumps(call().to_obj(), sort_keys=True) == first
 
 
-def test_solver_outputs_are_pinned():
-    """Every answer, certificate and expansion count of the three entry
-    points, byte for byte, on the benchmark's instance shapes: a change to
-    the search or its bounds that moves any of them shows here."""
-    digest = hashlib.sha256()
-
-    def add(result) -> None:
-        digest.update((json.dumps(result.to_obj(), sort_keys=True) + "\n").encode())
-
+def _pinned_instances():
+    """The benchmark's instance shapes, for the three entry points: 300
+    `kappa` instances, 40 `kappa_k` graphs and 60 gadgets to decide."""
     rng = random.Random(26)
+    kappa = []
     for i in range(300):
         g = random_connected_graph(rng, 10, 0.4)
-        add(kappa_set_exact(g, random_terminals(rng, g, (2, 3, 4)[i % 3])))
-    for _ in range(40):
-        add(kappa_k_graph(random_connected_graph(rng, 7, 0.8), 3))
+        kappa.append((g, random_terminals(rng, g, (2, 3, 4)[i % 3])))
+    kappa_k = [random_connected_graph(rng, 7, 0.8) for _ in range(40)]
+    decide = []
     for i in range(60):
         kind, a, b = [("3sat", 3, 4), ("3dm", 3, 5), ("3sat", 4, 4), ("3dm", 2, 4)][i % 4]
         if kind == "3sat":
             red = reduce_3sat(random_cnf(rng, a, b))
         else:
             red = reduce_3dm(random_3dm(rng, a, b))
-        add(decide_kappa_at_least(red.graph, red.terminals, red.threshold))
+        decide.append((red.graph, red.terminals, red.threshold))
+    return kappa, kappa_k, decide
+
+
+@functools.cache
+def _pinned_outputs() -> tuple[dict, ...]:
+    kappa, kappa_k, decide = _pinned_instances()
+    results = [kappa_set_exact(g, s) for g, s in kappa]
+    results += [kappa_k_graph(g, 3) for g in kappa_k]
+    results += [decide_kappa_at_least(g, s, k) for g, s, k in decide]
+    return tuple(result.to_obj() for result in results)
+
+
+def test_solver_outputs_are_pinned():
+    """Every answer of the three entry points, byte for byte: value,
+    status, subset, outcome and certificate.  A change to the search or
+    its bounds may move the work, pinned below, but not these."""
+    digest = hashlib.sha256()
+    for obj in _pinned_outputs():
+        answer = {key: value for key, value in obj.items() if key != "expansions"}
+        digest.update((json.dumps(answer, sort_keys=True) + "\n").encode())
     assert digest.hexdigest() == (
-        "0727cb12f43a85d55737ed53aee2deba39965cb771c12cbd4f7c7277176b6206"
+        "8890e16fc2f5ae89c1ff1798a34f92e8af368efeea3c4a5c63d63a1292380f62"
     )
+
+
+def test_solver_work_is_pinned():
+    """The expansion count of every call in `test_solver_outputs_are_pinned`:
+    a change that cuts or adds search nodes shows here."""
+    expansions = [obj["expansions"] for obj in _pinned_outputs()]
+    digest = hashlib.sha256(json.dumps(expansions).encode())
+    assert (sum(expansions), digest.hexdigest()) == (
+        35101, "a2c824267bdfd235d71e06b031fa11da05998905f7c7c2b1bfe0b07dd0dac1fd"
+    )
+
+
+def test_kappa_k_climb_calls_are_pinned(monkeypatch):
+    """How many subsets of the 40 pinned `kappa_k` graphs the connector
+    screen leaves to `_climb`, out of 40 * 35 = 1,400."""
+    calls = []
+
+    def climb(*args):
+        calls.append(args[1].members)
+        return _climb(*args)
+
+    monkeypatch.setattr(solver, "_climb", climb)
+    for g in _pinned_instances()[1]:
+        kappa_k_graph(g, 3)
+    assert len(calls) == 61
 
 
 @settings(max_examples=60, deadline=None)
