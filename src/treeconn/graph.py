@@ -50,48 +50,58 @@ def _vertex_ids(items: object, what: str) -> tuple[int, ...]:
     """`items` sorted, after checking that each is a non-negative int."""
     ids = _iterable(items, f"{what} ids")
     for v in ids:
-        if not _is_int(v) or v < 0:
+        if type(v) is not int and not _is_int(v) or v < 0:
             raise ValueError(f"invalid {what} id {v!r}")
     return tuple(sorted(ids))
-
-
-def _check_vertex_id(value: object, where: str) -> int:
-    if not _is_int(value):
-        raise GraphFormatError(f"{where}: vertex id must be an integer, got {value!r}")
-    return value
 
 
 def _canonical_edges(
     order: int, edges: Iterable[Sequence[int]], members: set[int] | None = None
 ) -> tuple[tuple[int, int], ...]:
-    """Sorted (min, max) pairs; endpoints lie in `members` if given, else below `order`."""
-    seen: set[tuple[int, int]] = set()
+    """Sorted (min, max) pairs; endpoints lie in `members` if given, else below `order`.
+
+    Every parsed graph and every validated Tree passes through here, so an
+    accepted edge costs one unpack, the type and range tests and one
+    append; repeats are looked for once, over all the pairs.  On a fault
+    `_edge_error` names the first in edge order, as a check of each edge
+    in turn, repeats included, would.
+    """
     out: list[tuple[int, int]] = []
-    # every parsed graph and every validated Tree passes through here, so the "edge N"
-    # label is formatted only when an edge is rejected
-    for pos, edge in enumerate(edges):
+    for edge in edges:
         try:
             u, v = edge
         except (TypeError, ValueError):
-            raise GraphFormatError(f"edge {pos}: expected a pair, got {edge!r}") from None
+            raise _edge_error(out, f"expected a pair, got {edge!r}") from None
         if type(u) is not int or type(v) is not int:
-            u = _check_vertex_id(u, f"edge {pos}")
-            v = _check_vertex_id(v, f"edge {pos}")
+            for end in (u, v):
+                if not _is_int(end):
+                    raise _edge_error(out, f"vertex id must be an integer, got {end!r}")
         if u == v:
-            raise GraphFormatError(f"edge {pos}: self-loop ({u},{v})")
+            raise _edge_error(out, f"self-loop ({u},{v})")
         if members is None:
             if not (0 <= u < order and 0 <= v < order):
-                raise GraphFormatError(
-                    f"edge {pos}: endpoint out of range for order {order}: ({u},{v})"
-                )
+                raise _edge_error(out, f"endpoint out of range for order {order}: ({u},{v})")
         elif u not in members or v not in members:
-            raise GraphFormatError(f"tree edge ({u},{v}) has endpoint outside vertex set")
-        key = (u, v) if u < v else (v, u)
+            raise _edge_error(out, f"tree edge ({u},{v}) has endpoint outside vertex set", False)
+        out.append((u, v) if u < v else (v, u))
+    if len(set(out)) < len(out):
+        raise _edge_error(out, "")
+    out.sort()
+    return tuple(out)
+
+
+def _edge_error(
+    keys: list[tuple[int, int]], problem: str, numbered: bool = True
+) -> GraphFormatError:
+    """The error for the first faulty edge: a repeat among the accepted
+    `keys`, else `problem` at the edge after them (prefixed `edge N: `
+    when `numbered`)."""
+    seen: set[tuple[int, int]] = set()
+    for pos, key in enumerate(keys):
         if key in seen:
-            raise GraphFormatError(f"edge {pos}: duplicate edge {key}")
+            return GraphFormatError(f"edge {pos}: duplicate edge {key}")
         seen.add(key)
-        out.append(key)
-    return tuple(sorted(out))
+    return GraphFormatError(f"edge {len(keys)}: {problem}" if numbered else problem)
 
 
 @dataclass(frozen=True)
@@ -218,7 +228,7 @@ class TerminalSet:
 def parse_terminals(text: str) -> TerminalSet:
     """Parse a comma-separated terminal list, e.g. "0,2,5"."""
     try:
-        ids = tuple(_decimal(part) for part in text.split(","))
+        ids = tuple(map(_decimal, text.split(",")))
     except ValueError:
         raise GraphFormatError(f"invalid terminal list {text!r}") from None
     return TerminalSet(ids)

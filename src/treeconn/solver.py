@@ -140,17 +140,16 @@ class _Terminals:
     __slots__ = ("members", "smask", "roots", "at_s", "inner_e", "near")
 
     def __init__(self, bits: GraphBits, members: tuple[int, ...]):
-        einc = bits.einc
-        self.members = members
-        self.smask = mask_of(members)
-        self.roots = sorted(members, key=lambda s: (einc[s].bit_count(), s))
-        at_s = inner_e = near = 0
+        einc, nbrs = bits.einc, bits.nbrs
+        smask = at_s = inner_e = near = 0
         for s in members:
+            smask |= 1 << s
             inner_e |= einc[s] & at_s  # an edge an earlier terminal has too
             at_s |= einc[s]
-            near |= bits.nbrs[s]
-        self.at_s, self.inner_e = at_s, inner_e
-        self.near = list(iter_bits(near & ~self.smask))
+            near |= nbrs[s]
+        self.members, self.smask, self.at_s, self.inner_e = members, smask, at_s, inner_e
+        self.roots = sorted(members, key=lambda s: (einc[s].bit_count(), s))
+        self.near = list(iter_bits(near & ~smask))
 
 
 def _flow_at_least(
@@ -417,7 +416,7 @@ def _greedy_packing(bits: GraphBits, ts: _Terminals, root: int, cap: int) -> lis
     mask has too few edges for a tree.
     """
     einc = bits.einc
-    smask, at_s, inner_e = ts.smask, ts.at_s, ts.inner_e
+    smask, at_s, inner_e, near = ts.smask, ts.at_s, ts.inner_e, ts.near
     size = len(ts.members)
     packing = []
     avail_e = bits.all_e
@@ -427,12 +426,17 @@ def _greedy_packing(bits: GraphBits, ts: _Terminals, root: int, cap: int) -> lis
         if inner.bit_count() >= size - 1:
             tree = extract_steiner_tree(bits, smask, inner, root)
         if tree is None:
-            for v in sorted(ts.near, key=lambda v: ((einc[v] & avail_e).bit_count(), v)):
+            # the non-terminals with enough spokes, as (available degree, id, spokes)
+            hubs = []
+            for v in near:
                 spokes = einc[v] & at_s & avail_e
                 if spokes.bit_count() >= 2 and (inner | spokes).bit_count() >= size:
-                    tree = extract_steiner_tree(bits, smask, inner | spokes, root)
-                    if tree is not None:
-                        break
+                    hubs.append(((einc[v] & avail_e).bit_count(), v, spokes))
+            hubs.sort()
+            for _, _, spokes in hubs:
+                tree = extract_steiner_tree(bits, smask, inner | spokes, root)
+                if tree is not None:
+                    break
         if tree is None:
             tree = extract_steiner_tree(bits, smask, avail_e, root)
             if tree is None:
@@ -553,11 +557,16 @@ def _climb(
             value, packing = k, found
     except BudgetExhausted:
         return value, packing, False
+    finally:
+        # `search` reaches itself through its closure cell; emptying the cell
+        # lets reference counting free it with all it holds, no cyclic
+        # collection needed
+        del search
     return value, packing, True
 
 
 def _to_certificate(bits: GraphBits, packing: list[tuple[int, int]]) -> TreeCertificate:
-    return TreeCertificate(tuple(tree_from_masks(bits, te, tv) for te, tv in packing))
+    return TreeCertificate(tuple([tree_from_masks(bits, te, tv) for te, tv in packing]))
 
 
 def decide_kappa_at_least(

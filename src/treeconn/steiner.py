@@ -26,19 +26,25 @@ class GraphBits:
     __slots__ = ("order", "edges", "einc", "nbrs", "evmask", "all_e")
 
     def __init__(self, graph: Graph):
-        self.order = graph.order
-        self.edges = graph.edges
-        self.einc = [0] * graph.order
-        self.nbrs = [0] * graph.order
-        self.evmask: list[int] = []
-        for i, (u, v) in enumerate(graph.edges):
-            bit = 1 << i
-            self.einc[u] |= bit
-            self.einc[v] |= bit
-            self.nbrs[u] |= 1 << v
-            self.nbrs[v] |= 1 << u
-            self.evmask.append((1 << u) | (1 << v))
-        self.all_e = (1 << len(graph.edges)) - 1
+        """`einc[v]`: the edges at v; `nbrs[v]`: the neighbours of v;
+        `evmask[e]`: the two ends of edge e; `all_e`: every edge.  One pass
+        over the edges fills all three lists."""
+        order, edges = graph.order, graph.edges
+        einc = [0] * order
+        nbrs = [0] * order
+        evmask = []
+        bit = 1
+        for u, v in edges:
+            ubit, vbit = 1 << u, 1 << v
+            einc[u] |= bit
+            einc[v] |= bit
+            nbrs[u] |= vbit
+            nbrs[v] |= ubit
+            evmask.append(ubit | vbit)
+            bit <<= 1
+        self.order, self.edges = order, edges
+        self.einc, self.nbrs, self.evmask = einc, nbrs, evmask
+        self.all_e = bit - 1
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -196,10 +202,20 @@ def extract_steiner_tree(
 
 
 def tree_from_masks(bits: GraphBits, tree_e: int, tree_v: int) -> Tree:
+    """The `Tree` of a mask pair: its vertex bits and the `graph.edges`
+    entries of its edge bits, each lowest first."""
+    vertices = []
+    while tree_v:
+        low = tree_v & -tree_v
+        vertices.append(low.bit_length() - 1)
+        tree_v ^= low
     edges = bits.edges
-    return Tree._from_canonical(
-        tuple(iter_bits(tree_v)), tuple([edges[e] for e in iter_bits(tree_e)])
-    )
+    picked = []
+    while tree_e:
+        low = tree_e & -tree_e
+        picked.append(edges[low.bit_length() - 1])
+        tree_e ^= low
+    return Tree._from_canonical(tuple(vertices), tuple(picked))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from treeconn import (
     TerminalSet,
     Tree,
     TreeCertificate,
+    certificate_to_obj,
     complete_graph,
     cycle_graph,
     enumerate_steiner_trees,
@@ -169,7 +171,18 @@ def test_trees_built_from_masks_are_canonical(instance):
     for t in trees:
         assert t == Tree(t.vertices, t.edges)
     cert = TreeCertificate(trees)
-    assert parse_certificate(serialize_certificate(cert)) == cert
+    text = serialize_certificate(cert)
+    assert text == json.dumps(certificate_to_obj(cert), sort_keys=True, separators=(",", ":"))
+    assert parse_certificate(text) == cert
+
+
+class _Id(int):
+    """A vertex id whose repr and str are not its decimal."""
+
+    def __repr__(self) -> str:
+        return f"_Id({int(self)})"
+
+    __str__ = __repr__
 
 
 def test_certificate_json_round_trip():
@@ -177,9 +190,13 @@ def test_certificate_json_round_trip():
         (
             tree(range(4), [(0, 1), (1, 2), (2, 3)]),
             tree(range(4), [(0, 2), (0, 3), (1, 3)]),
+            # int-subclass ids are written as the JSON encoder writes them
+            Tree((_Id(4), _Id(0)), ((_Id(4), _Id(0)),)),
         )
     )
     text = serialize_certificate(cert)
+    assert text == json.dumps(certificate_to_obj(cert), sort_keys=True, separators=(",", ":"))
+    assert text.endswith('{"edges":[[0,4]],"vertices":[0,4]}]}')
     assert parse_certificate(text) == cert
     assert serialize_certificate(parse_certificate(text)) == text
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -119,6 +120,19 @@ def test_budget_exhaustion_reports_unknown():
     assert verify_certificate(g, (0, 1, 2), solve.certificate).valid
     with pytest.raises(ValueError):
         kappa_set_exact(g, (0, 1), budget=0)
+
+
+def test_a_search_leaves_no_garbage_cycle():
+    # the level search's closures must not keep themselves alive: with the
+    # cyclic collector off, a call that searches leaves nothing for it
+    gc.collect()
+    gc.disable()
+    try:
+        result = kappa_set_exact(complete_graph(7), (0, 1, 2, 3))
+        assert (result.value, result.expansions) == (5, 122)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(

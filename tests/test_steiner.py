@@ -719,3 +719,9 @@ def test_graph_bits_neighbour_masks_match_adjacency(seed):
     g = random_graph(random.Random(seed), 9, 0.4)
     bits = GraphBits(g)
     assert bits.nbrs == [mask_of(nb) for nb in g.adjacency()]
+    assert (bits.order, bits.edges) == (g.order, g.edges)
+    assert bits.einc == [
+        mask_of(i for i, e in enumerate(g.edges) if v in e) for v in range(g.order)
+    ]
+    assert bits.evmask == [mask_of(e) for e in g.edges]
+    assert bits.all_e == mask_of(range(len(g.edges)))
