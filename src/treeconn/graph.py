@@ -281,13 +281,16 @@ def serialize_graph(graph: Graph) -> str:
     Writes exactly the bytes of `json.dumps(graph_to_obj(graph),
     sort_keys=True, separators=(",", ":"))`, without building the dict:
     the keys in sorted order, ids as plain decimals (`%d`, like the JSON
-    encoder, also for int subclasses), labels through `json.dumps`.
+    encoder, also for int subclasses), labels through `json.dumps`.  The
+    result is joined, not %-formatted, as in
+    `certificates.serialize_certificate`: a %-formatted str keeps the
+    block its writer over-allocated for as long as a caller keeps the text.
     """
     edges = ",".join(["[%d,%d]" % edge for edge in graph.edges])
     labels = ""
     if graph.labels is not None:
         labels = ',"labels":' + json.dumps(list(graph.labels), separators=(",", ":"))
-    return '{"edges":[%s]%s,"order":%d}' % (edges, labels, graph.order)
+    return "".join(['{"edges":[', edges, "]", labels, ',"order":', "%d" % graph.order, "}"])
 
 
 def components(graph: Graph) -> list[list[int]]:

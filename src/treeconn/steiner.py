@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .graph import Graph, TerminalSet, _int_arg
 from .certificates import Tree, _is_tree
@@ -268,18 +268,22 @@ class ReducedTopology:
 
 
 def _reduced_code(
-    edges: Iterable[tuple[int, int]], terminal_ids: frozenset[int], tree: Tree | None = None
+    edges: Iterable[tuple[int, int]], terminal_ids: Collection[int], tree: Tree | None = None
 ) -> str:
     """Canonical string of a tree given by its edges.
 
-    If `tree` is given (the edges are its edges), it is first checked on
-    the adjacency built here: one edge fewer than vertices, and one sweep
-    from its first vertex reaches them all; only on failure does
-    `certificates._is_tree` run, to name the fault.  Non-terminals of
-    degree 2 are then suppressed and leaves peeled layer by layer down to
-    the one or two centres.  A peeled vertex is written as `T` (terminal)
-    or `*`, followed by the sorted codes of the vertices peeled into it,
-    in parentheses, and its code goes to its one neighbour still present.
+    If `tree` is given (the edges are its edges), the adjacency is built
+    on `tree.vertices` and checked: every terminal is a vertex, there is
+    one edge fewer than vertices, and one sweep from the first vertex
+    reaches them all; only on failure does `certificates._is_tree` run,
+    to name the fault.  Leaves are then peeled layer by layer down to the
+    one or two centres of the tree with its degree-2 non-terminals
+    suppressed.  The suppression happens during the peel: `degree` counts
+    only the other vertices, and a peeled vertex reaches its neighbour by
+    walking through any chain of degree-2 non-terminals, so the adjacency
+    is never rewritten.  A peeled vertex is written as `T` (terminal) or
+    `*`, followed by the sorted codes of the vertices peeled into it, in
+    parentheses, and its code goes to its one neighbour still present.
     One centre is written the same way; two are each written with the
     other as an extra child, and the lesser string is the code.
     Isomorphisms map centres to centres, so two trees get equal codes
@@ -287,77 +291,107 @@ def _reduced_code(
     same partition as taking the least string over every root.  A
     non-terminal leaf raises ValueError naming the least one.
     """
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if tree is not None:
-        start = tree.vertices[0]
+    if tree is None:
+        adj: dict[int, list[int]] = {}
+        for u, v in edges:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+    else:
+        vertices = tree.vertices
+        adj = {v: [] for v in vertices}
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        for t in terminal_ids:
+            if t not in adj:
+                missing = sorted(set(terminal_ids).difference(adj))
+                raise ValueError(f"tree does not contain terminals {missing}")
+        start = vertices[0]
         seen = {start}
         queue = [start]
-        if len(tree.edges) == len(tree.vertices) - 1:
+        if len(tree.edges) == len(vertices) - 1:
             for v in queue:
-                for w in adj.get(v, ()):
+                for w in adj[v]:
                     if w not in seen:
                         seen.add(w)
                         queue.append(w)
-        if len(queue) != len(tree.vertices):
+        if len(queue) != len(vertices):
             raise ValueError(f"not a tree ({_is_tree(tree)})")
-    # suppress non-terminal vertices of degree 2; in a tree this changes no
-    # other vertex's degree, so one pass finds them all and no leaf changes
-    for v in list(adj):
-        if v not in terminal_ids and len(adj[v]) == 2:
-            a, b = adj.pop(v)
-            adj[a].remove(v)
-            adj[b].remove(v)
-            adj[a].append(b)
-            adj[b].append(a)
+    # `degree` skips the non-terminals of degree 2: in a tree, suppressing
+    # them changes no other vertex's degree and makes no new leaf
+    degree: dict[int, int] = {}
+    layer = []
+    for v, nb in adj.items():
+        d = len(nb)
+        if d != 2 or v in terminal_ids:
+            degree[v] = d
+            if d < 2:
+                layer.append(v)
+    for v in layer:
+        if v not in terminal_ids:
+            raise ValueError(f"non-terminal leaf {min(set(layer).difference(terminal_ids))}")
     # peel leaves until one vertex or one edge is left: the centres; a
     # peeled vertex gets degree 0 and its code goes to its one neighbour left
-    degree = {v: len(nb) for v, nb in adj.items()}
-    kids: dict[int, list[str]] = {v: [] for v in adj}
-    layer = [v for v, d in degree.items() if d <= 1]
-    stray = [v for v in layer if v not in terminal_ids]
-    if stray:
-        raise ValueError(f"non-terminal leaf {min(stray)}")
-    left = len(adj)
+    kids: dict[int, list[str]] = {}
+    left = len(degree)
     while left > 2:
         left -= len(layer)
         peeled = []
         for v in layer:
-            below = kids[v]
-            below.sort()
-            code = ("T(" if v in terminal_ids else "*(") + ",".join(below) + ")"
+            below = kids.get(v)
+            if below:
+                below.sort()
+                code = ("T(" if v in terminal_ids else "*(") + ",".join(below) + ")"
+            else:
+                code = "T()"  # a leaf, so a terminal
             degree[v] = 0
             for w in adj[v]:
-                if degree[w]:
-                    kids[w].append(code)
-                    degree[w] -= 1
-                    if degree[w] == 1:
+                u = v
+                while w not in degree:  # a suppressed vertex: step along its chain
+                    a, b = adj[w]
+                    u, w = w, b if a == u else a
+                d = degree[w]
+                if d:
+                    if w in kids:
+                        kids[w].append(code)
+                    else:
+                        kids[w] = [code]
+                    degree[w] = d - 1
+                    if d == 2:
                         peeled.append(w)
                     break
         layer = peeled
-
-    def written(v: int, *extra: str) -> str:
-        return ("T(" if v in terminal_ids else "*(") + ",".join(sorted([*kids[v], *extra])) + ")"
-
     if len(layer) == 1:
-        return written(layer[0])
+        v = layer[0]
+        below = kids[v]
+        below.sort()
+        return ("T(" if v in terminal_ids else "*(") + ",".join(below) + ")"
     a, b = layer
-    return min(written(a, written(b)), written(b, written(a)))
+    below_a, below_b = kids.get(a, []), kids.get(b, [])
+    open_a = "T(" if a in terminal_ids else "*("
+    open_b = "T(" if b in terminal_ids else "*("
+    below_a.sort()
+    below_b.sort()
+    code_a = open_a + ",".join(below_a) + ")"
+    below_a.append(open_b + ",".join(below_b) + ")")
+    below_b.append(code_a)
+    below_a.sort()
+    below_b.sort()
+    return min(open_a + ",".join(below_a) + ")", open_b + ",".join(below_b) + ")")
 
 
 def classify_topology(tree: Tree, terminals: TerminalSet | list[int]) -> ReducedTopology:
     """Canonical homeomorphism type of a Steiner tree.
 
     The tree must connect the terminals and every leaf must be a terminal.
+    The result skips the dataclass constructor, as `Tree._from_canonical`
+    does: the code is a `str` and there is nothing to check.
     """
-    terminals = TerminalSet.of(terminals)
-    sset = frozenset(terminals.members)
-    missing = sset.difference(tree.vertices)
-    if missing:
-        raise ValueError(f"tree does not contain terminals {sorted(missing)}")
-    return ReducedTopology(_reduced_code(tree.edges, sset, tree))
+    if not isinstance(terminals, TerminalSet):
+        terminals = TerminalSet(terminals)
+    topology = object.__new__(ReducedTopology)
+    object.__setattr__(topology, "code", _reduced_code(tree.edges, terminals.members, tree))
+    return topology
 
 
 def count_topologies(graph: Graph, terminals: TerminalSet | list[int]) -> int:

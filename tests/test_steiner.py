@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from typing import Callable, Iterator
@@ -16,6 +17,8 @@ from treeconn import (
     cycle_graph,
     enumerate_steiner_trees,
     path_graph,
+    random_connected_graph,
+    random_terminals,
 )
 from treeconn import steiner
 from treeconn.certificates import _is_tree
@@ -524,6 +527,82 @@ def test_k6_four_terminal_codes_are_pinned():
         "*(T(),T(),T(),T())": 10,
         "*(*(T(),T()),T(),T())": 6,
     }
+
+
+def test_topology_codes_are_pinned_on_a_seeded_corpus():
+    """Every tree the enumerator gives on seeded order-8 graphs (p = 0.35,
+    |S| cycling 4 and 5, as in the benchmark's topology-enum mix): the
+    codes, one a line, hash to a fixed digest, and the unchecked path that
+    `count_topologies` takes gives the checked path's code."""
+    rng = random.Random(611)
+    digest = hashlib.sha256()
+    count = 0
+    for i in range(100):
+        graph = random_connected_graph(rng, 8, 0.35)
+        terminals = random_terminals(rng, graph, (4, 5)[i % 2])
+        sset = frozenset(terminals.members)
+        for tree in enumerate_steiner_trees(graph, terminals, 20000).trees:
+            code = classify_topology(tree, terminals).code
+            assert _reduced_code(tree.edges, sset) == code
+            digest.update(code.encode() + b"\n")
+            count += 1
+    assert (count, digest.hexdigest()) == (
+        8393,
+        "7eb20d86eb0b6bf6c05f5a3b04fc251822e3168a830db25beeb9069d612b1337",
+    )
+
+
+def _subdivided(tree: Tree, edge: tuple[int, int], times: int) -> Tree:
+    """`tree` with `edge` replaced by a path through `times` new vertices."""
+    u, v = edge
+    fresh = list(range(max(tree.vertices) + 1, max(tree.vertices) + 1 + times))
+    chain = [u, *fresh, v]
+    edges = [e for e in tree.edges if e != edge] + list(zip(chain, chain[1:]))
+    return Tree(tree.vertices + tuple(fresh), tuple(edges))
+
+
+def _assert_same_code(plain: Tree, longer: Tree, terminals) -> None:
+    code = classify_topology(plain, terminals).code
+    assert classify_topology(longer, terminals).code == code
+    assert reference_centre_code(longer, terminals) == code
+    assert _reduced_code(longer.edges, frozenset(terminals)) == code
+
+
+def test_chain_between_two_centres_is_walked():
+    # two anonymous centres 4 and 5, the edge between them subdivided
+    # four times: the centres are found and written through the chain
+    S = (0, 1, 2, 3)
+    plain = Tree((0, 1, 2, 3, 4, 5), ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5)))
+    _assert_same_code(plain, _subdivided(plain, (4, 5), 4), S)
+    assert classify_topology(plain, S).code == "*(*(T(),T()),T(),T())"
+    # a terminal and an anonymous centre, the arm between them subdivided
+    S = (0, 1, 2, 3, 5)
+    plain = Tree((0, 1, 2, 3, 4, 5), ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5)))
+    _assert_same_code(plain, _subdivided(plain, (4, 5), 3), S)
+
+
+def test_chain_at_a_leaf_is_walked():
+    # a star whose arm to leaf 2 runs through three degree-2 non-terminals,
+    # and a terminal path whose end leaf hangs on a chain of two
+    star = Tree((0, 1, 2, 3), ((0, 3), (1, 3), (2, 3)))
+    _assert_same_code(star, _subdivided(star, (2, 3), 3), (0, 1, 2))
+    path = Tree((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)))
+    _assert_same_code(path, _subdivided(path, (2, 3), 2), (0, 1, 2, 3))
+
+
+def test_long_subdivided_terminal_path_needs_no_recursion():
+    # 1,200 terminals (the even ids) with a degree-2 non-terminal between
+    # each pair: 1,200 levels in the reduced tree, past the default
+    # recursion limit, so a recursive writer would fail
+    order = 2 * 1200 - 1
+    tree = Tree(tuple(range(order)), tuple((v, v + 1) for v in range(order - 1)))
+    terminals = tuple(range(0, order, 2))
+    code = classify_topology(tree, terminals).code
+    assert code == reference_centre_code(tree, terminals)
+    assert code == _reduced_code(tree.edges, frozenset(terminals))
+    assert code.count("T") == 1200 and code.startswith("T(T(T(")
+    plain = Tree(tuple(range(1200)), tuple((v, v + 1) for v in range(1199)))
+    assert code == classify_topology(plain, tuple(range(1200))).code
 
 
 def _adjacency(edges) -> dict[int, list[int]]:
