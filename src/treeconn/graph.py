@@ -134,22 +134,30 @@ class Graph:
             object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def _from_canonical(cls, order: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
-        """An unlabelled graph from fields already in the form `__post_init__`
-        gives them.
+    def _from_canonical(
+        cls,
+        order: int,
+        edges: tuple[tuple[int, int], ...],
+        labels: tuple[str | None, ...] | None = None,
+    ) -> "Graph":
+        """A graph from fields already in the form `__post_init__` gives them.
 
         Nothing is checked.  The caller guarantees: `order` is an int >= 1
         that it has checked; `edges` is a tuple of `(u, v)` pairs with
-        `u < v < order`, sorted and unique; there are no labels.
-        `generators.random_graph`, whose pairs come from
-        `itertools.combinations(range(order), 2)`, is the only caller;
-        `tests/test_generators.py` pins it against the validating
+        `u < v < order`, sorted and unique; `labels` is None or a tuple of
+        `order` entries, each None or a string, no string twice.  The
+        callers are `generators.random_graph`, whose pairs come from
+        `itertools.combinations(range(order), 2)`, and the gadget
+        constructions `reductions.reduce_3sat` and `reduce_3dm`, which
+        write each edge as `(min, max)`, sort them and name each vertex
+        once.  `tests/test_generators.py` and
+        `tests/test_reductions_unchecked.py` pin them against the validating
         constructor.
         """
         graph = object.__new__(cls)
         object.__setattr__(graph, "order", order)
         object.__setattr__(graph, "edges", edges)
-        object.__setattr__(graph, "labels", None)
+        object.__setattr__(graph, "labels", labels)
         return graph
 
     @property

@@ -183,6 +183,29 @@ class ReducedInstance:
             raise ValueError("roles must cover every vertex exactly once")
         object.__setattr__(self, "roles", MappingProxyType(dict(roles)))
 
+    @classmethod
+    def _from_canonical(
+        cls, graph: Graph, members: tuple[int, ...], threshold: int, roles: dict[int, str]
+    ) -> "ReducedInstance":
+        """An instance from fields already in the form `__post_init__` gives
+        them, as `Graph._from_canonical` builds a graph.
+
+        Nothing is checked.  The caller guarantees: `members` ascending,
+        at least two, each below `graph.order`; `threshold` an int >= 1;
+        `roles` a fresh dict, which nothing else holds, mapping every
+        vertex of `graph` to a string.  `reduce_3sat` and `reduce_3dm` are
+        the only callers; `tests/test_reductions_unchecked.py` pins both
+        against the validating constructor.
+        """
+        terminals = object.__new__(TerminalSet)
+        object.__setattr__(terminals, "members", members)
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "graph", graph)
+        object.__setattr__(inst, "terminals", terminals)
+        object.__setattr__(inst, "threshold", threshold)
+        object.__setattr__(inst, "roles", MappingProxyType(roles))
+        return inst
+
 
 def reduced_to_obj(inst: ReducedInstance) -> dict:
     return {
@@ -230,6 +253,18 @@ def _tree(edges: list[tuple[int, int]]) -> Tree:
     return Tree({v for edge in edges for v in edge}, edges)
 
 
+def _kept(source, reduced: ReducedInstance) -> ReducedInstance:
+    """`reduced`, kept on the source instance it was built from, outside
+    its fields (equality, hashing and the writers do not see it)."""
+    object.__setattr__(source, "_reduced", reduced)
+    return reduced
+
+
+def _reduction(source, reduce) -> ReducedInstance:
+    """The reduction kept on `source`, else `reduce(source)`."""
+    return vars(source).get("_reduced") or reduce(source)
+
+
 def _check_certificate(reduced: ReducedInstance, cert: TreeCertificate) -> None:
     """Raise ValueError unless `cert` is a valid packing of `reduced.threshold` trees."""
     if len(cert.trees) != reduced.threshold:
@@ -255,7 +290,8 @@ def _3dm_ids(inst: ThreeDMInstance):
 
 def reduce_3dm(inst: ThreeDMInstance) -> ReducedInstance:
     """Hub-and-slack gadget: a perfect matching exists iff the four hubs
-    admit m internally disjoint trees.
+    admit m internally disjoint trees.  The result is kept on `inst`, for
+    `trees_to_matching`.
 
     Vertex order: hubs for U, V, W and the triple side, then the element
     blocks u_i, v_i, w_i, then one vertex per triple, then m-n slack
@@ -296,11 +332,13 @@ def reduce_3dm(inst: ThreeDMInstance) -> ReducedInstance:
         for j in range(m - n):
             edges.append((t0 + i, a0 + j))
     for i, (ui, vi, wi) in enumerate(inst.triples):
-        edges.append((t0 + i, u0 + ui))
-        edges.append((t0 + i, v0 + vi))
-        edges.append((t0 + i, w0 + wi))
-    graph = Graph(order, tuple(edges), tuple(labels))
-    return ReducedInstance(graph, TerminalSet((hub_u, hub_v, hub_w, hub_t)), m, roles)
+        edges.append((u0 + ui, t0 + i))
+        edges.append((v0 + vi, t0 + i))
+        edges.append((w0 + wi, t0 + i))
+    edges.sort()
+    graph = Graph._from_canonical(order, tuple(edges), tuple(labels))
+    members = (hub_u, hub_v, hub_w, hub_t)
+    return _kept(inst, ReducedInstance._from_canonical(graph, members, m, roles))
 
 
 def matching_to_trees(inst: ThreeDMInstance, matching: Matching) -> TreeCertificate:
@@ -334,9 +372,11 @@ def trees_to_matching(inst: ThreeDMInstance, cert: TreeCertificate) -> Matching:
     """Read a perfect matching back out of a valid m-tree certificate.
 
     The n trees that avoid every slack vertex each contain exactly one
-    triple vertex; those triples form the matching.
+    triple vertex; those triples form the matching.  The certificate is
+    verified in full against the reduction `reduce_3dm` kept on `inst`,
+    built here if `inst` was never reduced.
     """
-    _check_certificate(reduce_3dm(inst), cert)
+    _check_certificate(_reduction(inst, reduce_3dm), cert)
     _, _, _, _, _, _, _, t0, a0 = _3dm_ids(inst)
     t_range = range(t0, t0 + inst.m)
     a_range = range(a0, a0 + inst.m - inst.n)
@@ -413,7 +453,8 @@ def reduce_3sat(phi: CnfFormula, require_three: bool = False) -> ReducedInstance
     Terminals are the selectors plus the clause vertices; threshold is 2.
 
     Clauses of fewer than three literals are accepted unless
-    `require_three` is set; the construction never uses the arity.
+    `require_three` is set; the construction never uses the arity.  The
+    result is kept on `phi`, for `trees_to_assignment`.
     """
     n, m = phi.num_vars, phi.num_clauses
     apex, hat0, pos0, neg0, c0 = _3sat_ids(phi)
@@ -442,16 +483,17 @@ def reduce_3sat(phi: CnfFormula, require_three: bool = False) -> ReducedInstance
     for i in range(1, n):
         edges.append((pos0, pos0 + i))
         edges.append((pos0, neg0 + i))
-        edges.append((neg0, pos0 + i))
+        edges.append((pos0 + i, neg0))
         edges.append((neg0, neg0 + i))
     for i in range(n):
         edges.append((apex, pos0 + i))
         edges.append((apex, neg0 + i))
     for j in range(m):
         edges.append((apex, c0 + j))
-    graph = Graph(order, tuple(edges), tuple(labels))
-    terminals = TerminalSet(tuple(range(hat0, hat0 + n)) + tuple(range(c0, c0 + m)))
-    return ReducedInstance(graph, terminals, 2, roles)
+    edges.sort()
+    graph = Graph._from_canonical(order, tuple(edges), tuple(labels))
+    members = tuple(range(hat0, hat0 + n)) + tuple(range(c0, c0 + m))
+    return _kept(phi, ReducedInstance._from_canonical(graph, members, 2, roles))
 
 
 def assignment_to_trees(phi: CnfFormula, assignment: Assignment) -> TreeCertificate:
@@ -494,9 +536,11 @@ def trees_to_assignment(phi: CnfFormula, cert: TreeCertificate) -> Assignment:
 
     At most one tree contains the apex; in a tree avoiding it, every
     variable selector keeps exactly one of its two literal vertices, and
-    those memberships are the assignment.
+    those memberships are the assignment.  The certificate is verified in
+    full against the reduction `reduce_3sat` kept on `phi`, built here if
+    `phi` was never reduced.
     """
-    _check_certificate(reduce_3sat(phi), cert)
+    _check_certificate(_reduction(phi, reduce_3sat), cert)
     apex, hat0, pos0, neg0, c0 = _3sat_ids(phi)
     tree = next((t for t in cert.trees if apex not in t.vertex_set), None)
     if tree is None:
@@ -556,7 +600,11 @@ def solve_sat_brute(phi: CnfFormula) -> Assignment | None:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF: 'p cnf <vars> <clauses>', 0-terminated clauses."""
+    """Parse DIMACS CNF: 'p cnf <vars> <clauses>', 0-terminated clauses.
+
+    A line that starts with '%' ends the formula, as in the SATLIB
+    benchmark files, which close with a '%' line and a '0' line.
+    """
     num_vars: int | None = None
     num_clauses: int | None = None
     clauses: list[tuple[int, ...]] = []
@@ -565,6 +613,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line.startswith("%"):
+            break
         if line.startswith("p"):
             if num_vars is not None:
                 raise GraphFormatError(f"line {lineno}: repeated header")

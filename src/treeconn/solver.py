@@ -37,7 +37,9 @@ witness tree while the remainder holds it); a finished tree's
 remainder must also pass the flow bound (non-terminals capacity one,
 terminals uncapacitated) before the next slot is searched.  The flow is
 found by unit-capacity augmenting paths on the vertex-split graph, held as
-edge bitmasks, so no network is built per call.  The Steiner enumerator
+edge bitmasks, so no network is built per call; one breadth-first search
+from the source terminal, the extractor's, gives every flow of a bound its
+first route, and the flow augments from there.  The Steiner enumerator
 keeps its own stack, so tree length is not limited by the interpreter's
 recursion limit.
 
@@ -61,6 +63,7 @@ from .certificates import TreeCertificate, certificate_to_obj
 from .graph import Graph, TerminalSet, _int_arg
 from .steiner import (
     GraphBits,
+    _bfs_parents,
     extract_steiner_tree,
     iter_bits,
     iter_minimal_trees,
@@ -159,6 +162,7 @@ def _flow_at_least(
     src: int,
     dst: int,
     target: int | None,
+    up: dict[int, int] | None = None,
 ) -> int:
     """Max number of src-dst routes that pairwise share only terminal vertices.
 
@@ -166,6 +170,10 @@ def _flow_at_least(
     terminals unconstrained.  Augments until `target` is reached (or to
     exhaustion when target is None) and returns the flow value.  Each tree
     of a packing contributes one unit, so this upper-bounds the packing.
+    With `up`, parent edges from `steiner._bfs_parents` rooted at src that
+    reach dst, the flow starts as the one route they give from src to dst,
+    so a `target` of at least 1 takes one augmenting search fewer; a
+    maximum flow does not depend on the flow it starts from.
 
     The split network is never materialized.  Node 2v is v_in and 2v+1 is
     v_out; every edge of avail_e gives unit arcs u_out -> v_in and
@@ -185,6 +193,15 @@ def _flow_at_least(
     via = [0] * (2 * bits.order)
     source, sink = 2 * src + 1, 2 * dst
     flow = 0
+    if up is not None:
+        v = dst
+        while v != src:
+            low = up[v]
+            w = (evmask[low.bit_length() - 1] ^ (1 << v)).bit_length() - 1
+            out_e[w] |= low
+            in_e[v] |= low
+            v = w
+        flow = 1
     while target is None or flow < target:
         seen_in = 0
         seen_out = 1 << src
@@ -255,14 +272,22 @@ def _bound(bits: GraphBits, ts: _Terminals, avail_e: int, cap: int, need: int) -
     """min(cap, the flow bound) for the available subgraph, or any value
     below `need` once one is found: the fewest routes from the terminal of
     least available degree to any other, since each tree of a packing
-    gives one.
+    gives one.  One breadth-first search from that terminal gives every
+    other its first route, and each flow augments from there; when it
+    misses a terminal, S is split and the bound is 0.  Nothing is searched
+    when `cap` is already below `need`.
     The cheap terms of U are the callers': `_climb` caps by them at the
     root, and `prune` checks them on every remainder this runs on."""
+    if cap < need:
+        return cap
     degrees = [(bits.einc[s] & avail_e).bit_count() for s in ts.members]
     src = ts.members[degrees.index(min(degrees))]
+    up = _bfs_parents(bits, ts.smask, avail_e, src)
+    if up is None:
+        return 0
     for t in ts.members:
         if t != src and cap >= need:
-            cap = _flow_at_least(bits, ts.smask, avail_e, src, t, cap)
+            cap = _flow_at_least(bits, ts.smask, avail_e, src, t, cap, up)
     return cap
 
 

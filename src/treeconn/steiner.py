@@ -159,25 +159,24 @@ def iter_minimal_trees(
             ))
 
 
-def extract_steiner_tree(
+def _bfs_parents(
     bits: GraphBits, smask: int, avail_e: int, root: int
-) -> tuple[int, int] | None:
-    """Deterministically pick one minimal Steiner tree, or None if S is split.
+) -> dict[int, int] | None:
+    """The parent edge bit of each vertex a breadth-first search from
+    `root` over the edges of `avail_e` reaches (lowest edge index first),
+    stopping once every vertex of `smask` is reached; None if one never is.
 
-    The tree uses edges of `avail_e` only.  `root` must be a terminal (the
-    solver's anchor).  The tree is the union of the paths back to the root
-    from each terminal in a breadth-first search (lowest edge index first)
-    that stops once all are reached.
+    The root has no entry.  Following the parent edges from any reached
+    vertex leads back to the root along a shortest path.
     """
-    rootbit = 1 << root
     einc = bits.einc
     evmask = bits.evmask
     up: dict[int, int] = {}
-    visited = rootbit
+    visited = 1 << root
     queue = [root]
     for v in queue:
         if not smask & ~visited:
-            break
+            return up
         ee = einc[v] & avail_e
         while ee:
             low = ee & -ee
@@ -188,9 +187,23 @@ def extract_steiner_tree(
                 w = wbit.bit_length() - 1
                 up[w] = low
                 queue.append(w)
-    if smask & ~visited:
+    return None if smask & ~visited else up
+
+
+def extract_steiner_tree(
+    bits: GraphBits, smask: int, avail_e: int, root: int
+) -> tuple[int, int] | None:
+    """Deterministically pick one minimal Steiner tree, or None if S is split.
+
+    The tree uses edges of `avail_e` only.  `root` must be a terminal (the
+    solver's anchor).  The tree is the union of the paths back to the root
+    from each terminal in `_bfs_parents`.
+    """
+    up = _bfs_parents(bits, smask, avail_e, root)
+    if up is None:
         return None
-    tree_e, tree_v = 0, rootbit
+    evmask = bits.evmask
+    tree_e, tree_v = 0, 1 << root
     while smask & ~tree_v:
         vbit = 1 << ((smask & ~tree_v).bit_length() - 1)
         while not vbit & tree_v:

@@ -258,6 +258,35 @@ def test_parse_dimacs_takes_only_ascii_decimals(text, message):
     assert parse_dimacs("p cnf 3 1\n-1 2 -3 0\n").clauses == ((-1, 2, -3),)
 
 
+def test_parse_dimacs_reads_the_satlib_tail():
+    # the uf20-91 layout: comment lines, a header with a double and a
+    # trailing space, clauses with a leading space, then '%' and '0'
+    rng = random.Random(20)
+    clauses = [
+        tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, 21), 3)) for _ in range(91)
+    ]
+    body = "".join(" " + " ".join(map(str, c)) + " 0\n" for c in clauses)
+    text = "c This Formular is generated by mcnf\nc\np cnf 20  91 \n" + body + "%\n0\n\n"
+    phi = parse_dimacs(text)
+    assert phi == CnfFormula(20, tuple(clauses))
+    # the clause count applies to the clauses before the '%' line
+    with pytest.raises(GraphFormatError) as err:
+        parse_dimacs("p cnf 3 2\n1 2 3 0\n%\n-1 2 3 0\n")
+    assert str(err.value) == "header promises 2 clauses, found 1"
+    with pytest.raises(GraphFormatError) as err:
+        parse_dimacs("p cnf 3 1\n1 2\n%\n3 0\n")
+    assert str(err.value) == "last clause is not 0-terminated"
+
+
+def test_parse_dimacs_rejects_a_percent_inside_a_clause_line():
+    with pytest.raises(GraphFormatError) as err:
+        parse_dimacs("p cnf 3 1\n1 2 % 0\n")
+    assert str(err.value) == "line 2: bad literal '%'"
+    with pytest.raises(GraphFormatError) as err:
+        parse_dimacs("p cnf 3 1\n1 2 3 0 %\n0\n")
+    assert str(err.value) == "line 2: bad literal '%'"
+
+
 def test_parse_dimacs_rejects_a_repeated_header():
     with pytest.raises(GraphFormatError) as err:
         parse_dimacs("p cnf 3 1\np cnf 3 1\n1 2 3 0\n")
