@@ -24,7 +24,11 @@ from .graph import (
 
 @dataclass(frozen=True)
 class Tree:
-    """One tree of a certificate: explicit vertex set plus edge set."""
+    """One tree of a certificate: explicit vertex set plus edge set.
+
+    Trees from outside are validated in full; the trees a search finds are
+    made unchecked, by `steiner.tree_from_masks`.
+    """
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -39,27 +43,6 @@ class Tree:
         edges = _canonical_edges(vertices[-1] + 1, _iterable(self.edges, "tree edges"), vset)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
-
-    @classmethod
-    def _from_canonical(
-        cls, vertices: tuple[int, ...], edges: tuple[tuple[int, int], ...]
-    ) -> "Tree":
-        """A tree from fields already in the form `__post_init__` gives them.
-
-        Nothing is checked.  The caller guarantees: `vertices` ascending,
-        unique and non-negative; `edges` canonical `(min, max)` pairs,
-        sorted and unique; every endpoint one of `vertices`.
-        `steiner.tree_from_masks` is the only caller: every mask pair from
-        the enumerator, the extractor and the greedy packing lists its
-        vertex bits in ascending order and its edge bits as `graph.edges`
-        entries in index order, and `Graph` keeps those canonical and
-        sorted.  `tests/test_certificates.py` pins this against the
-        validated constructor.
-        """
-        tree = object.__new__(cls)
-        object.__setattr__(tree, "vertices", vertices)
-        object.__setattr__(tree, "edges", edges)
-        return tree
 
     @property
     def vertex_set(self) -> frozenset[int]:

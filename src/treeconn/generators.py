@@ -4,7 +4,7 @@ All randomness flows through an explicit random.Random, so a seed fully
 determines every generated instance, byte for byte, and the rng state
 after it.  `random_graph` draws one `rng.random()` per pair of
 `itertools.combinations(range(order), 2)`, in that order, and builds its
-graph through the trusted `Graph._from_canonical`; every other `Graph` is
+graph unchecked, through `graph._unchecked`; every other `Graph` is
 validated.  Counts and sizes are checked by `graph._int_arg`, like every
 integer argument of the library, so a bad one raises `ValueError("{name}
 must be an int{bound}, got {value!r}")`; `edge_prob` must be an `int` or
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .graph import Graph, TerminalSet, _int_arg, _is_int, components
+from .graph import Graph, TerminalSet, _int_arg, _is_int, _unchecked, components
 from .reductions import CnfFormula, ThreeDMInstance
 
 
@@ -27,14 +27,16 @@ def random_graph(rng: random.Random, order: int, edge_prob: float) -> Graph:
     The pairs are drawn in `itertools.combinations(range(order), 2)` order,
     one draw each, so the output and the rng state after it are fixed by
     the seed byte for byte.  Those pairs are canonical already, so the
-    graph is built by the trusted `Graph._from_canonical`, unvalidated.
+    graph is built unchecked, by `graph._unchecked`.
     """
     _int_arg(order, "order", 1)
     if not ((_is_int(edge_prob) or isinstance(edge_prob, float)) and 0.0 <= edge_prob <= 1.0):
         raise ValueError(f"edge_prob must be a number in [0, 1], got {edge_prob!r}")
     draw = rng.random
     pairs = itertools.combinations(range(order), 2)
-    return Graph._from_canonical(order, tuple([e for e in pairs if draw() < edge_prob]))
+    # order is checked above; `combinations` yields unique sorted pairs u < v < order
+    edges = tuple([e for e in pairs if draw() < edge_prob])
+    return _unchecked(Graph, order=order, edges=edges, labels=None)
 
 
 def random_connected_graph(

@@ -104,6 +104,20 @@ def _edge_error(
     return GraphFormatError(f"edge {len(keys)}: {problem}" if numbered else problem)
 
 
+def _unchecked(cls, **fields):
+    """A `cls` with exactly these fields, made without `__post_init__`.
+
+    Nothing is checked, so each call states beside it why its fields have
+    the form the validating constructor would give them; nothing parsed
+    from outside the program may come through here.  Setting each field
+    on its own keeps the compact attribute storage of a constructed object.
+    """
+    obj = object.__new__(cls)
+    for name in fields:
+        object.__setattr__(obj, name, fields[name])
+    return obj
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph: no loops, no parallel edges."""
@@ -132,33 +146,6 @@ class Graph:
             if len(set(named)) != len(named):
                 raise GraphFormatError("labels: duplicate label")
             object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def _from_canonical(
-        cls,
-        order: int,
-        edges: tuple[tuple[int, int], ...],
-        labels: tuple[str | None, ...] | None = None,
-    ) -> "Graph":
-        """A graph from fields already in the form `__post_init__` gives them.
-
-        Nothing is checked.  The caller guarantees: `order` is an int >= 1
-        that it has checked; `edges` is a tuple of `(u, v)` pairs with
-        `u < v < order`, sorted and unique; `labels` is None or a tuple of
-        `order` entries, each None or a string, no string twice.  The
-        callers are `generators.random_graph`, whose pairs come from
-        `itertools.combinations(range(order), 2)`, and the gadget
-        constructions `reductions.reduce_3sat` and `reduce_3dm`, which
-        write each edge as `(min, max)`, sort them and name each vertex
-        once.  `tests/test_generators.py` and
-        `tests/test_reductions_unchecked.py` pin them against the validating
-        constructor.
-        """
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "order", order)
-        object.__setattr__(graph, "edges", edges)
-        object.__setattr__(graph, "labels", labels)
-        return graph
 
     @property
     def edge_count(self) -> int:

@@ -25,6 +25,7 @@ from .graph import (
     _int_arg,
     _is_int,
     _iterable,
+    _unchecked,
     graph_from_obj,
     graph_to_obj,
     load_json,
@@ -183,28 +184,9 @@ class ReducedInstance:
             raise ValueError("roles must cover every vertex exactly once")
         object.__setattr__(self, "roles", MappingProxyType(dict(roles)))
 
-    @classmethod
-    def _from_canonical(
-        cls, graph: Graph, members: tuple[int, ...], threshold: int, roles: dict[int, str]
-    ) -> "ReducedInstance":
-        """An instance from fields already in the form `__post_init__` gives
-        them, as `Graph._from_canonical` builds a graph.
-
-        Nothing is checked.  The caller guarantees: `members` ascending,
-        at least two, each below `graph.order`; `threshold` an int >= 1;
-        `roles` a fresh dict, which nothing else holds, mapping every
-        vertex of `graph` to a string.  `reduce_3sat` and `reduce_3dm` are
-        the only callers; `tests/test_reductions_unchecked.py` pins both
-        against the validating constructor.
-        """
-        terminals = object.__new__(TerminalSet)
-        object.__setattr__(terminals, "members", members)
-        inst = object.__new__(cls)
-        object.__setattr__(inst, "graph", graph)
-        object.__setattr__(inst, "terminals", terminals)
-        object.__setattr__(inst, "threshold", threshold)
-        object.__setattr__(inst, "roles", MappingProxyType(roles))
-        return inst
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied; a copy is validated anew
+        return ReducedInstance, (self.graph, self.terminals, self.threshold, dict(self.roles))
 
 
 def reduced_to_obj(inst: ReducedInstance) -> dict:
@@ -253,9 +235,18 @@ def _tree(edges: list[tuple[int, int]]) -> Tree:
     return Tree({v for edge in edges for v in edge}, edges)
 
 
-def _kept(source, reduced: ReducedInstance) -> ReducedInstance:
-    """`reduced`, kept on the source instance it was built from, outside
-    its fields (equality, hashing and the writers do not see it)."""
+def _gadget(source, order, edges, labels, members, threshold, roles) -> ReducedInstance:
+    """The reduction of `source`, built unchecked from the fields that
+    `reduce_3sat` or `reduce_3dm` wrote, and kept on `source` outside its
+    fields (equality, hashing and the writers do not see it)."""
+    edges.sort()
+    # each edge is written once as (min, max) below `order`, and each vertex labelled once
+    graph = _unchecked(Graph, order=order, edges=tuple(edges), labels=tuple(labels))
+    # the members ascend, at least two, each below `order`
+    terminals = _unchecked(TerminalSet, members=members)
+    # threshold >= 1; `roles`, a fresh dict nothing else holds, names every vertex
+    reduced = _unchecked(ReducedInstance, graph=graph, terminals=terminals,
+                         threshold=threshold, roles=MappingProxyType(roles))
     object.__setattr__(source, "_reduced", reduced)
     return reduced
 
@@ -335,10 +326,7 @@ def reduce_3dm(inst: ThreeDMInstance) -> ReducedInstance:
         edges.append((u0 + ui, t0 + i))
         edges.append((v0 + vi, t0 + i))
         edges.append((w0 + wi, t0 + i))
-    edges.sort()
-    graph = Graph._from_canonical(order, tuple(edges), tuple(labels))
-    members = (hub_u, hub_v, hub_w, hub_t)
-    return _kept(inst, ReducedInstance._from_canonical(graph, members, m, roles))
+    return _gadget(inst, order, edges, labels, (hub_u, hub_v, hub_w, hub_t), m, roles)
 
 
 def matching_to_trees(inst: ThreeDMInstance, matching: Matching) -> TreeCertificate:
@@ -490,10 +478,8 @@ def reduce_3sat(phi: CnfFormula, require_three: bool = False) -> ReducedInstance
         edges.append((apex, neg0 + i))
     for j in range(m):
         edges.append((apex, c0 + j))
-    edges.sort()
-    graph = Graph._from_canonical(order, tuple(edges), tuple(labels))
     members = tuple(range(hat0, hat0 + n)) + tuple(range(c0, c0 + m))
-    return _kept(phi, ReducedInstance._from_canonical(graph, members, 2, roles))
+    return _gadget(phi, order, edges, labels, members, 2, roles)
 
 
 def assignment_to_trees(phi: CnfFormula, assignment: Assignment) -> TreeCertificate:

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator
 
-from .graph import Graph, TerminalSet, _int_arg
+from .graph import Graph, TerminalSet, _int_arg, _unchecked
 from .certificates import Tree, _is_tree
 
 
@@ -228,7 +228,8 @@ def tree_from_masks(bits: GraphBits, tree_e: int, tree_v: int) -> Tree:
         low = tree_e & -tree_e
         picked.append(edges[low.bit_length() - 1])
         tree_e ^= low
-    return Tree._from_canonical(tuple(vertices), tuple(picked))
+    # bits read low first: vertices ascend, edges are sorted `graph.edges` with ends in tree_v
+    return _unchecked(Tree, vertices=tuple(vertices), edges=tuple(picked))
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +398,12 @@ def classify_topology(tree: Tree, terminals: TerminalSet | list[int]) -> Reduced
     """Canonical homeomorphism type of a Steiner tree.
 
     The tree must connect the terminals and every leaf must be a terminal.
-    The result skips the dataclass constructor, as `Tree._from_canonical`
-    does: the code is a `str` and there is nothing to check.
+    The result is made by `graph._unchecked`.
     """
     if not isinstance(terminals, TerminalSet):
         terminals = TerminalSet(terminals)
-    topology = object.__new__(ReducedTopology)
-    object.__setattr__(topology, "code", _reduced_code(tree.edges, terminals.members, tree))
-    return topology
+    # a `str` code is all a ReducedTopology holds, and nothing about it is checked
+    return _unchecked(ReducedTopology, code=_reduced_code(tree.edges, terminals.members, tree))
 
 
 def count_topologies(graph: Graph, terminals: TerminalSet | list[int]) -> int:

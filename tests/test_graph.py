@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import pickle
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from treeconn import (
     Graph,
     GraphFormatError,
     TerminalSet,
+    Tree,
     complete_graph,
     components,
     cycle_graph,
@@ -19,7 +22,9 @@ from treeconn import (
     path_graph,
     serialize_graph,
 )
-from treeconn.graph import graph_to_obj
+from treeconn.graph import _unchecked, graph_to_obj
+from treeconn.reductions import ReducedInstance
+from treeconn.steiner import ReducedTopology
 
 
 def test_parse_path_on_three_vertices():
@@ -278,3 +283,33 @@ def test_graph_fields_are_rejected_exactly(text, message):
     with pytest.raises(GraphFormatError) as err:
         parse_graph(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "cls, fields",
+    [
+        (Graph, {"order": 3, "edges": ((0, 1), (1, 2)), "labels": ("a", None, "c")}),
+        (Graph, {"order": 2, "edges": (), "labels": None}),
+        (TerminalSet, {"members": (0, 2, 5)}),
+        (Tree, {"vertices": (1, 4, 6), "edges": ((1, 4), (4, 6))}),
+        (
+            ReducedInstance,
+            {
+                "graph": path_graph(3),
+                "terminals": TerminalSet((0, 2)),
+                "threshold": 1,
+                "roles": MappingProxyType({0: "end", 1: "middle", 2: "end"}),
+            },
+        ),
+        (ReducedTopology, {"code": "*(T(),T(),T())"}),
+    ],
+    ids=["Graph", "Graph-unlabelled", "TerminalSet", "Tree", "ReducedInstance", "ReducedTopology"],
+)
+def test_unchecked_makes_what_the_constructor_makes(cls, fields):
+    # graph._unchecked skips __post_init__; on fields already in the form it
+    # gives them, what it makes must be the constructor's object in every way
+    made, built = _unchecked(cls, **fields), cls(**fields)
+    assert type(made) is cls and vars(made) == vars(built)
+    assert made == built and hash(made) == hash(built) and repr(made) == repr(built)
+    copy = pickle.loads(pickle.dumps(made))
+    assert copy == built and repr(copy) == repr(built)

@@ -1,5 +1,5 @@
-"""The gadget reductions build their graph and instance unchecked
-(`Graph._from_canonical`, `ReducedInstance._from_canonical`) and keep each
+"""The gadget reductions build their graph, terminal set and instance
+unchecked (`reductions._gadget`, through `graph._unchecked`) and keep each
 reduction on the source instance it came from, for the decoders.
 
 Each built instance must equal what the validating constructors make of
@@ -10,7 +10,9 @@ distinct object.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import random
 from types import MappingProxyType
 
@@ -162,5 +164,7 @@ def test_a_kept_reduction_stays_out_of_the_source_fields():
         reduce(source)
         assert source == fresh and hash(source) == hash(fresh) and repr(source) == repr(fresh)
         assert dataclasses.asdict(source) == dataclasses.asdict(fresh)
+        # and a reduced source still pickles and deep-copies
+        assert pickle.loads(pickle.dumps(source)) == fresh and copy.deepcopy(source) == fresh
         # each call builds its own reduction, equal to the last
         assert reduce(source) is not reduce(source) and reduce(source) == reduce(fresh)
