@@ -439,12 +439,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # RecursionError: no routine recurses on the input's size any more (the
     # enumerator keeps its own stack and the topology code is built bottom-up),
-    # so this is a last guard that turns a deep recursion into exit 1
+    # so this is a last guard that turns a deep recursion into exit 1.
+    # OverflowError: a size past sys.maxsize, where a list of that size is made
     try:
         if hasattr(args, "budget") and args.budget is None:
             args.budget = _default_budget()
         return args.func(args)
-    except (GraphFormatError, ValueError, OSError, RecursionError, MemoryError) as exc:
+    except (GraphFormatError, ValueError, OSError, RecursionError, MemoryError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -4,17 +4,15 @@ directions and brute-force oracles for the source problems.
 
 Every construction assigns vertex ids in a fixed documented order (hub and
 apex vertices first, then the remaining blocks), so equal inputs produce
-byte-identical instances.  The role map records what each vertex encodes;
-role indices are 0-based, matching the stored instances.
+byte-identical instances.  `roles[v]` records what vertex v encodes; role
+indices are 0-based, matching the stored instances.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 from .certificates import Tree, TreeCertificate, verify_certificate
 from .graph import (
@@ -167,26 +165,18 @@ class ReducedInstance:
     graph: Graph
     terminals: TerminalSet
     threshold: int
-    # a read-only copy (see __post_init__), left out of the hash, which a
-    # mapping cannot take part in
-    roles: Mapping[int, str] = field(hash=False)
+    roles: tuple[str, ...]
 
     def __post_init__(self) -> None:
         _int_arg(self.threshold, "threshold", 1)
         terminals = TerminalSet.of(self.terminals).validate_in(self.graph)
         object.__setattr__(self, "terminals", terminals)
-        roles = self.roles
-        if not isinstance(roles, Mapping) or not all(
-            _is_int(v) and isinstance(role, str) for v, role in roles.items()
-        ):
+        roles = _iterable(self.roles, "roles")
+        if not all(isinstance(role, str) for role in roles):
             raise ValueError("roles must map vertex ids to strings")
-        if sorted(roles) != list(range(self.graph.order)):
+        if len(roles) != self.graph.order:
             raise ValueError("roles must cover every vertex exactly once")
-        object.__setattr__(self, "roles", MappingProxyType(dict(roles)))
-
-    def __reduce__(self):
-        # a mappingproxy cannot be pickled or deep-copied; a copy is validated anew
-        return ReducedInstance, (self.graph, self.terminals, self.threshold, dict(self.roles))
+        object.__setattr__(self, "roles", roles)
 
 
 def reduced_to_obj(inst: ReducedInstance) -> dict:
@@ -194,7 +184,7 @@ def reduced_to_obj(inst: ReducedInstance) -> dict:
         "graph": graph_to_obj(inst.graph),
         "terminals": list(inst.terminals.members),
         "threshold": inst.threshold,
-        "roles": {str(v): role for v, role in sorted(inst.roles.items())},
+        "roles": {str(v): role for v, role in enumerate(inst.roles)},
     }
 
 
@@ -221,7 +211,12 @@ def reduced_from_obj(obj: object) -> ReducedInstance:
             if v in by_id:
                 raise ValueError(f"vertex {v} has two roles")
             by_id[v] = role
-        return ReducedInstance(graph, terminals, threshold, by_id)
+        ids = sorted(by_id)
+        # the constructor names faults in field order, so the ids come last
+        inst = ReducedInstance(graph, terminals, threshold, [by_id[v] for v in ids])
+        if ids != list(range(graph.order)):
+            raise ValueError("roles must cover every vertex exactly once")
+        return inst
     except ValueError as exc:
         raise GraphFormatError(f"invalid reduced instance: {exc}") from exc
 
@@ -235,18 +230,20 @@ def _tree(edges: list[tuple[int, int]]) -> Tree:
     return Tree({v for edge in edges for v in edge}, edges)
 
 
-def _gadget(source, order, edges, labels, members, threshold, roles) -> ReducedInstance:
+def _gadget(source, edges, names, members, threshold) -> ReducedInstance:
     """The reduction of `source`, built unchecked from the fields that
-    `reduce_3sat` or `reduce_3dm` wrote, and kept on `source` outside its
-    fields (equality, hashing and the writers do not see it)."""
+    `reduce_3sat` or `reduce_3dm` wrote (`names[v]` is vertex v's role and
+    label), and kept on `source` outside its fields (equality, hashing and
+    the writers do not see it)."""
     edges.sort()
-    # each edge is written once as (min, max) below `order`, and each vertex labelled once
-    graph = _unchecked(Graph, order=order, edges=tuple(edges), labels=tuple(labels))
-    # the members ascend, at least two, each below `order`
+    roles, labels = zip(*names)
+    # each edge is written once as (min, max) below the order, and each vertex named once
+    graph = _unchecked(Graph, order=len(names), edges=tuple(edges), labels=labels)
+    # the members ascend, at least two, each below the order
     terminals = _unchecked(TerminalSet, members=members)
-    # threshold >= 1; `roles`, a fresh dict nothing else holds, names every vertex
+    # threshold >= 1, and each role is a string
     reduced = _unchecked(ReducedInstance, graph=graph, terminals=terminals,
-                         threshold=threshold, roles=MappingProxyType(roles))
+                         threshold=threshold, roles=roles)
     object.__setattr__(source, "_reduced", reduced)
     return reduced
 
@@ -294,31 +291,26 @@ def reduce_3dm(inst: ThreeDMInstance) -> ReducedInstance:
     hub_u, hub_v, hub_w, hub_t, u0, v0, w0, t0, a0 = _3dm_ids(inst)
     order = 4 + 3 * n + m + (m - n)
     edges: list[tuple[int, int]] = []
-    labels: list[str | None] = [None] * order
-    roles: dict[int, str] = {}
-
-    def vertex(v: int, role: str, label: str) -> None:
-        roles[v], labels[v] = role, label
-
-    vertex(hub_u, "hub-u", "hub_u")
-    vertex(hub_v, "hub-v", "hub_v")
-    vertex(hub_w, "hub-w", "hub_w")
-    vertex(hub_t, "hub-t", "hub_t")
+    names: list[tuple[str, str] | None] = [None] * order
+    names[hub_u] = ("hub-u", "hub_u")
+    names[hub_v] = ("hub-v", "hub_v")
+    names[hub_w] = ("hub-w", "hub_w")
+    names[hub_t] = ("hub-t", "hub_t")
     for i in range(n):
         edges.append((hub_u, u0 + i))
         edges.append((hub_v, v0 + i))
         edges.append((hub_w, w0 + i))
-        vertex(u0 + i, f"element-u({i})", f"u{i}")
-        vertex(v0 + i, f"element-v({i})", f"v{i}")
-        vertex(w0 + i, f"element-w({i})", f"w{i}")
+        names[u0 + i] = (f"element-u({i})", f"u{i}")
+        names[v0 + i] = (f"element-v({i})", f"v{i}")
+        names[w0 + i] = (f"element-w({i})", f"w{i}")
     for i in range(m):
         edges.append((hub_t, t0 + i))
-        vertex(t0 + i, f"triple({i})", f"t{i}")
+        names[t0 + i] = (f"triple({i})", f"t{i}")
     for j in range(m - n):
         edges.append((hub_u, a0 + j))
         edges.append((hub_v, a0 + j))
         edges.append((hub_w, a0 + j))
-        vertex(a0 + j, f"slack({j})", f"a{j}")
+        names[a0 + j] = (f"slack({j})", f"a{j}")
     for i in range(m):
         for j in range(m - n):
             edges.append((t0 + i, a0 + j))
@@ -326,7 +318,7 @@ def reduce_3dm(inst: ThreeDMInstance) -> ReducedInstance:
         edges.append((u0 + ui, t0 + i))
         edges.append((v0 + vi, t0 + i))
         edges.append((w0 + wi, t0 + i))
-    return _gadget(inst, order, edges, labels, (hub_u, hub_v, hub_w, hub_t), m, roles)
+    return _gadget(inst, edges, names, (hub_u, hub_v, hub_w, hub_t), m)
 
 
 def matching_to_trees(inst: ThreeDMInstance, matching: Matching) -> TreeCertificate:
@@ -450,21 +442,16 @@ def reduce_3sat(phi: CnfFormula, require_three: bool = False) -> ReducedInstance
         raise ValueError("a clause does not have exactly 3 literals")
     order = 3 * n + m + 1
     edges: list[tuple[int, int]] = []
-    labels: list[str | None] = [None] * order
-    roles: dict[int, str] = {}
-
-    def vertex(v: int, role: str, label: str) -> None:
-        roles[v], labels[v] = role, label
-
-    vertex(apex, "apex", "a")
+    names: list[tuple[str, str] | None] = [None] * order
+    names[apex] = ("apex", "a")
     for i in range(n):
         edges.append((hat0 + i, pos0 + i))
         edges.append((hat0 + i, neg0 + i))
-        vertex(hat0 + i, f"var-hat({i})", f"hx{i}")
-        vertex(pos0 + i, f"var-pos({i})", f"x{i}")
-        vertex(neg0 + i, f"var-neg({i})", f"nx{i}")
+        names[hat0 + i] = (f"var-hat({i})", f"hx{i}")
+        names[pos0 + i] = (f"var-pos({i})", f"x{i}")
+        names[neg0 + i] = (f"var-neg({i})", f"nx{i}")
     for j, clause in enumerate(phi.clauses):
-        vertex(c0 + j, f"clause({j})", f"c{j}")
+        names[c0 + j] = (f"clause({j})", f"c{j}")
         for lit in clause:
             var = abs(lit) - 1
             edges.append(((pos0 if lit > 0 else neg0) + var, c0 + j))
@@ -479,7 +466,7 @@ def reduce_3sat(phi: CnfFormula, require_three: bool = False) -> ReducedInstance
     for j in range(m):
         edges.append((apex, c0 + j))
     members = tuple(range(hat0, hat0 + n)) + tuple(range(c0, c0 + m))
-    return _gadget(phi, order, edges, labels, members, 2, roles)
+    return _gadget(phi, edges, names, members, 2)
 
 
 def assignment_to_trees(phi: CnfFormula, assignment: Assignment) -> TreeCertificate:
@@ -651,13 +638,12 @@ def write_dimacs(phi: CnfFormula) -> str:
 
 
 def _grown(
-    graph: Graph, new_roles: dict[int, str], new_edges: list, terminals: TerminalSet, k: int
+    graph: Graph, new_roles: list[str], new_edges: list, terminals: TerminalSet, k: int
 ) -> ReducedInstance:
-    """`graph` plus the vertices of `new_roles` (ids from graph.order up)
-    and `new_edges`, with threshold `k`.  Each original vertex keeps its
-    edges and label and gets the role original(v); each new one gets no label."""
-    roles = {v: f"original({v})" for v in range(graph.order)}
-    roles.update(new_roles)
+    """`graph` plus a vertex per entry of `new_roles`, in order from id
+    graph.order, and `new_edges`, with threshold `k`.  Each original vertex
+    keeps its edges and label and gets the role original(v)."""
+    roles = [f"original({v})" for v in range(graph.order)] + new_roles
     labels = None if graph.labels is None else graph.labels + (None,) * len(new_roles)
     grown = Graph(graph.order + len(new_roles), graph.edges + tuple(new_edges), labels)
     return ReducedInstance(grown, terminals, k, roles)
@@ -679,13 +665,12 @@ def lift_terminals(
     anchor = terminals.members[0]
     hub0 = graph.order
     mid0 = graph.order + hubs
-    roles: dict[int, str] = {}
+    roles = [f"lift-hub({i})" for i in range(hubs)]
     edges: list[tuple[int, int]] = []
     for i in range(hubs):
-        roles[hub0 + i] = f"lift-hub({i})"
         for j in range(k2):
             mid = mid0 + i * k2 + j
-            roles[mid] = f"lift-mid({i},{j})"
+            roles.append(f"lift-mid({i},{j})")
             edges.append((hub0 + i, mid))
             edges.append((mid, anchor))
     new_terms = TerminalSet(terminals.members + tuple(range(hub0, hub0 + hubs)))
@@ -701,11 +686,6 @@ def pad_tree_count(graph: Graph, terminals, k: int) -> ReducedInstance:
     """
     terminals = TerminalSet.of(terminals).validate_in(graph)
     _int_arg(k, "k", 3)
-    roles: dict[int, str] = {}
-    edges: list[tuple[int, int]] = []
-    for i in range(k - 2):
-        pad = graph.order + i
-        roles[pad] = f"pad({i})"
-        for s in terminals.members:
-            edges.append((pad, s))
+    roles = [f"pad({i})" for i in range(k - 2)]
+    edges = [(graph.order + i, s) for i in range(k - 2) for s in terminals.members]
     return _grown(graph, roles, edges, terminals, k)

@@ -37,11 +37,11 @@ witness tree while the remainder holds it); a finished tree's
 remainder must also pass the flow bound (non-terminals capacity one,
 terminals uncapacitated) before the next slot is searched.  The flow is
 found by unit-capacity augmenting paths on the vertex-split graph, held as
-edge bitmasks, so no network is built per call; one breadth-first search
-from the source terminal, the extractor's, gives every flow of a bound its
-first route, and the flow augments from there.  The Steiner enumerator
-keeps its own stack, so tree length is not limited by the interpreter's
-recursion limit.
+edge bitmasks, so no network is built per call; every flow, `menger_pair`'s
+too, augments from the route of the extractor's breadth-first search from
+its source terminal, one search for every flow of a bound.  The Steiner
+enumerator keeps its own stack, so tree length is not limited by the
+interpreter's recursion limit.
 
 What the packed trees leave to the others is one edge mask.  A tree
 takes its own edges and every edge of its non-terminals, and terminals
@@ -161,18 +161,16 @@ def _flow_at_least(
     avail_e: int,
     src: int,
     dst: int,
-    target: int | None,
-    up: dict[int, int] | None = None,
+    target: int,
+    up: dict[int, int],
 ) -> int:
-    """Max number of src-dst routes that pairwise share only terminal vertices.
+    """Max number of src-dst routes that pairwise share only terminal
+    vertices, or `target` (at least 1) once that many are found.
 
     Unit capacities on edges and on non-terminal vertices (vertex split),
-    terminals unconstrained.  Augments until `target` is reached (or to
-    exhaustion when target is None) and returns the flow value.  Each tree
-    of a packing contributes one unit, so this upper-bounds the packing.
-    With `up`, parent edges from `steiner._bfs_parents` rooted at src that
-    reach dst, the flow starts as the one route they give from src to dst,
-    so a `target` of at least 1 takes one augmenting search fewer; a
+    terminals unconstrained.  Each tree of a packing contributes one unit,
+    so this upper-bounds the packing.  The flow starts as the src-dst route
+    of `up`, parent edges from `steiner._bfs_parents` rooted at src; a
     maximum flow does not depend on the flow it starts from.
 
     The split network is never materialized.  Node 2v is v_in and 2v+1 is
@@ -192,17 +190,15 @@ def _flow_at_least(
     # the v_in/v_out arc of the node's own vertex
     via = [0] * (2 * bits.order)
     source, sink = 2 * src + 1, 2 * dst
-    flow = 0
-    if up is not None:
-        v = dst
-        while v != src:
-            low = up[v]
-            w = (evmask[low.bit_length() - 1] ^ (1 << v)).bit_length() - 1
-            out_e[w] |= low
-            in_e[v] |= low
-            v = w
-        flow = 1
-    while target is None or flow < target:
+    v = dst
+    while v != src:
+        low = up[v]
+        w = (evmask[low.bit_length() - 1] ^ (1 << v)).bit_length() - 1
+        out_e[w] |= low
+        in_e[v] |= low
+        v = w
+    flow = 1
+    while flow < target:
         seen_in = 0
         seen_out = 1 << src
         queue = [source]
@@ -657,10 +653,15 @@ def kappa_k_graph(graph: Graph, k: int, budget: int | None = None) -> KappaKResu
 
 
 def menger_pair(graph: Graph, u: int, v: int) -> int:
-    """Maximum number of internally disjoint u-v paths, by maximum flow."""
+    """Maximum number of internally disjoint u-v paths: 0 if v is not
+    reached, else the flow up to the edge count, which no flow exceeds."""
     TerminalSet((u, v)).validate_in(graph)
     bits = GraphBits(graph)
-    return _flow_at_least(bits, (1 << u) | (1 << v), bits.all_e, u, v, None)
+    smask = (1 << u) | (1 << v)
+    up = _bfs_parents(bits, smask, bits.all_e, u)
+    if up is None:
+        return 0
+    return _flow_at_least(bits, smask, bits.all_e, u, v, len(bits.edges), up)
 
 
 # ---------------------------------------------------------------------------

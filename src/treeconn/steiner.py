@@ -281,56 +281,22 @@ class ReducedTopology:
     code: str
 
 
-def _reduced_code(
-    edges: Iterable[tuple[int, int]], terminal_ids: Collection[int], tree: Tree | None = None
-) -> str:
-    """Canonical string of a tree given by its edges.
+def _reduced_code(adj: dict[int, list[int]], terminal_ids: Collection[int]) -> str:
+    """Canonical string of a tree given by its adjacency lists.
 
-    If `tree` is given (the edges are its edges), the adjacency is built
-    on `tree.vertices` and checked: every terminal is a vertex, there is
-    one edge fewer than vertices, and one sweep from the first vertex
-    reaches them all; only on failure does `certificates._is_tree` run,
-    to name the fault.  Leaves are then peeled layer by layer down to the
-    one or two centres of the tree with its degree-2 non-terminals
-    suppressed.  The suppression happens during the peel: `degree` counts
-    only the other vertices, and a peeled vertex reaches its neighbour by
-    walking through any chain of degree-2 non-terminals, so the adjacency
-    is never rewritten.  A peeled vertex is written as `T` (terminal) or
-    `*`, followed by the sorted codes of the vertices peeled into it, in
-    parentheses, and its code goes to its one neighbour still present.
-    One centre is written the same way; two are each written with the
-    other as an extra child, and the lesser string is the code.
-    Isomorphisms map centres to centres, so two trees get equal codes
-    exactly when they are isomorphic with terminals onto terminals, the
-    same partition as taking the least string over every root.  A
-    non-terminal leaf raises ValueError naming the least one.
+    Leaves are peeled layer by layer down to the one or two centres of the
+    tree with its degree-2 non-terminals suppressed, which the peel does
+    itself: `degree` counts only the other vertices, and a peeled vertex
+    reaches its neighbour by walking through any chain of degree-2
+    non-terminals, so the adjacency is never rewritten.  A peeled vertex
+    is written as `T` (terminal) or `*`, then the sorted codes of the
+    vertices peeled into it, in parentheses, and its code goes to its one
+    neighbour still present.  One centre is written the same way; two are
+    each written with the other as an extra child, and the lesser string
+    is the code.  Isomorphisms map centres to centres, so two trees get
+    equal codes exactly when they are isomorphic with terminals onto
+    terminals.  A non-terminal leaf raises ValueError naming the least one.
     """
-    if tree is None:
-        adj: dict[int, list[int]] = {}
-        for u, v in edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-    else:
-        vertices = tree.vertices
-        adj = {v: [] for v in vertices}
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for t in terminal_ids:
-            if t not in adj:
-                missing = sorted(set(terminal_ids).difference(adj))
-                raise ValueError(f"tree does not contain terminals {missing}")
-        start = vertices[0]
-        seen = {start}
-        queue = [start]
-        if len(tree.edges) == len(vertices) - 1:
-            for v in queue:
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-        if len(queue) != len(vertices):
-            raise ValueError(f"not a tree ({_is_tree(tree)})")
     # `degree` skips the non-terminals of degree 2: in a tree, suppressing
     # them changes no other vertex's degree and makes no new leaf
     degree: dict[int, int] = {}
@@ -394,16 +360,44 @@ def _reduced_code(
     return min(open_a + ",".join(below_a) + ")", open_b + ",".join(below_b) + ")")
 
 
+def _adjacency(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def classify_topology(tree: Tree, terminals: TerminalSet | list[int]) -> ReducedTopology:
     """Canonical homeomorphism type of a Steiner tree.
 
-    The tree must connect the terminals and every leaf must be a terminal.
-    The result is made by `graph._unchecked`.
+    The tree must connect the terminals and every leaf must be a terminal:
+    on its adjacency lists every terminal is a vertex, and one sweep from
+    the first vertex reaches all, over one edge fewer than vertices
+    (`certificates._is_tree` runs only to name a fault).  The result is
+    made by `graph._unchecked`.
     """
     if not isinstance(terminals, TerminalSet):
         terminals = TerminalSet(terminals)
+    terminal_ids, vertices = terminals.members, tree.vertices
+    adj = _adjacency(vertices, tree.edges)
+    for t in terminal_ids:
+        if t not in adj:
+            missing = sorted(set(terminal_ids).difference(adj))
+            raise ValueError(f"tree does not contain terminals {missing}")
+    start = vertices[0]
+    seen = {start}
+    queue = [start]
+    if len(tree.edges) == len(vertices) - 1:
+        for v in queue:
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    if len(queue) != len(vertices):
+        raise ValueError(f"not a tree ({_is_tree(tree)})")
     # a `str` code is all a ReducedTopology holds, and nothing about it is checked
-    return _unchecked(ReducedTopology, code=_reduced_code(tree.edges, terminals.members, tree))
+    return _unchecked(ReducedTopology, code=_reduced_code(adj, terminal_ids))
 
 
 def count_topologies(graph: Graph, terminals: TerminalSet | list[int]) -> int:
@@ -412,7 +406,8 @@ def count_topologies(graph: Graph, terminals: TerminalSet | list[int]) -> int:
     bits = GraphBits(graph)
     smask = mask_of(terminals.members)
     sset = frozenset(terminals.members)
+    edges = bits.edges
     return len({
-        _reduced_code([bits.edges[e] for e in iter_bits(tree_e)], sset)
-        for tree_e, _ in iter_minimal_trees(bits, smask, bits.all_e, terminals.members[0])
+        _reduced_code(_adjacency(iter_bits(tree_v), [edges[e] for e in iter_bits(tree_e)]), sset)
+        for tree_e, tree_v in iter_minimal_trees(bits, smask, bits.all_e, terminals.members[0])
     })

@@ -213,23 +213,24 @@ def test_certificate_json_round_trip():
         (lambda: TreeCertificate((5,)), "tree 0: expected a Tree, got 5"),
         (lambda: Graph(3, 5), "edges: expected an iterable, got 5"),
         (lambda: Graph(2, (), 5), "labels: expected an iterable, got 5"),
-        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 1.5, {0: "a", 1: "b"}),
+        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 1.5, ("a", "b")),
          "threshold must be an int >= 1, got 1.5"),
-        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), True, {0: "a", 1: "b"}),
+        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), True, ("a", "b")),
          "threshold must be an int >= 1, got True"),
-        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 0, {0: "a", 1: "b"}),
+        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 0, ("a", "b")),
          "threshold must be an int >= 1, got 0"),
-        (lambda: ReducedInstance(path_graph(3), TerminalSet((0, 1)), 1, {0: "a", 1: "b"}),
+        (lambda: ReducedInstance(path_graph(3), TerminalSet((0, 1)), 1, ("a", "b")),
          "roles must cover every vertex exactly once"),
-        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 1, {"a": "x", 0: "y"}),
-         "roles must map vertex ids to strings"),
+        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 1, ("a", "b", "c")),
+         "roles must cover every vertex exactly once"),
         (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 1, 5),
+         "roles: expected an iterable, got 5"),
+        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 1, (5, None)),
          "roles must map vertex ids to strings"),
-        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 1, {0: 5, 1: None}),
+        # a mapping from vertex ids is read as its keys, which are not strings
+        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 1, {0: "a", 1: "b"}),
          "roles must map vertex ids to strings"),
-        (lambda: ReducedInstance(path_graph(2), TerminalSet((0, 1)), 1, {0: "a", True: "b"}),
-         "roles must map vertex ids to strings"),
-        (lambda: ReducedInstance(path_graph(2), (0, 5), 1, {0: "a", 1: "b"}),
+        (lambda: ReducedInstance(path_graph(2), (0, 5), 1, ("a", "b")),
          "terminal 5 out of range for order 2"),
         (lambda: menger_pair(path_graph(3), 0, "a"), "invalid terminal id 'a'"),
         (lambda: menger_pair(path_graph(3), 0, 1.0), "invalid terminal id 1.0"),
@@ -239,8 +240,8 @@ def test_certificate_json_round_trip():
     ids=["terminals-int", "terminals-str", "solver-terminals-str", "tree-vertices-int",
          "tree-edges-int", "certificate-int", "certificate-member-int", "graph-edges-int",
          "graph-labels-int", "reduced-threshold-float", "reduced-threshold-bool",
-         "reduced-threshold-zero", "reduced-roles-missing", "reduced-roles-str-key",
-         "reduced-roles-int", "reduced-roles-non-str", "reduced-roles-bool-key",
+         "reduced-threshold-zero", "reduced-roles-missing", "reduced-roles-extra",
+         "reduced-roles-int", "reduced-roles-non-str", "reduced-roles-mapping",
          "reduced-terminals-tuple-out-of-range", "menger-str", "menger-float",
          "menger-bool", "menger-out-of-range"],
 )

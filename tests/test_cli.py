@@ -318,3 +318,34 @@ def test_recursion_error_exits_one(p3_file, monkeypatch, capsys):
     assert main(["classify", "--graph", p3_file, "--terminals", "0,2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+_HUGE = "100000000000000000000000"  # 10**23, past sys.maxsize
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa", "--graph", "{graph}", "--terminals", "0,1"],
+        ["decide", "--graph", "{graph}", "--terminals", "0,1", "--k", "1"],
+        ["kappa-k", "--graph", "{graph}", "--k", "2"],
+        ["classify", "--graph", "{graph}", "--terminals", "0,1"],
+        ["reduce", "3sat", "--in", "{cnf}"],
+        ["roundtrip", "3sat", "--vars", _HUGE],
+        ["gen", "graph", "--order", _HUGE],
+    ],
+    ids=["kappa", "decide", "kappa-k", "classify", "reduce-3sat", "roundtrip-3sat", "gen-graph"],
+)
+def test_an_integer_past_the_index_range_is_an_error(argv, tmp_path, capsys):
+    # a graph of order 10**30 and a formula over 10**24 variables: the lists
+    # they would need cannot be indexed, so making them overflows at once
+    graph = tmp_path / "huge.json"
+    graph.write_text('{"order": 1000000000000000000000000000000, "edges": []}')
+    cnf = tmp_path / "huge.cnf"
+    cnf.write_text("p cnf 1000000000000000000000000 1\n1 0\n")
+    argv = [arg.format(graph=graph, cnf=cnf) for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

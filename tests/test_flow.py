@@ -4,9 +4,9 @@
 |S| = 2, and it shares `_flow_at_least` with the solver's pruning bound, so
 a flow bug could make both wrong in the same way.  The reference below
 builds the vertex-split network explicitly as adjacency lists and augments
-by breadth-first search; it shares no code with the solver's routine.
-The flows `_bound` runs start from the routes of one breadth-first search;
-they must reach the same values as flows started from nothing.
+by breadth-first search from no flow at all; it shares no code with the
+solver's routine.  Every flow of the solver starts from the route of a
+breadth-first search; it must reach the same values as the reference.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treeconn import Graph, solver
+from treeconn import Graph, menger_pair, solver
 from treeconn.solver import _bound, _flow_at_least, _Terminals
 from treeconn.steiner import GraphBits, _bfs_parents
 
@@ -95,12 +95,52 @@ def flow_calls(draw):
     return bits, smask, avail_e, src, dst, target
 
 
+def routed_flow(
+    bits: GraphBits, smask: int, avail_e: int, src: int, dst: int, target: int | None
+) -> int:
+    """`_flow_at_least` from the route a breadth-first search from src
+    gives to dst, 0 when it finds none; a `target` of None runs it to the
+    edge count, which no flow exceeds."""
+    up = _bfs_parents(bits, 1 << dst, avail_e, src)
+    if up is None:
+        return 0
+    return _flow_at_least(
+        bits, smask, avail_e, src, dst, len(bits.edges) if target is None else target, up
+    )
+
+
 @settings(max_examples=400, deadline=None)
 @given(flow_calls())
 def test_flow_matches_reference(call):
     bits, smask, avail_e, src, dst, target = call
     all_v = (1 << bits.order) - 1
-    assert _flow_at_least(*call) == reference_flow(bits, smask, all_v, avail_e, src, dst, target)
+    assert routed_flow(*call) == reference_flow(bits, smask, all_v, avail_e, src, dst, target)
+
+
+@st.composite
+def vertex_pairs(draw):
+    """A random graph of order 2-10, often split, and two of its vertices."""
+    order = draw(st.integers(min_value=2, max_value=10))
+    pairs = list(itertools.combinations(range(order), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * order))
+    u, v = draw(
+        st.lists(st.integers(min_value=0, max_value=order - 1), min_size=2, max_size=2, unique=True)
+    )
+    return Graph(order, tuple(edges)), u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_pairs())
+@example((Graph(5, ((0, 1), (1, 2), (3, 4))), 0, 4))  # u and v in different components
+@example((Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))), 3, 1))
+def test_menger_pair_matches_the_reference(case):
+    # the benchmark gate's oracle for |S| = 2, against a flow from nothing
+    # to exhaustion on the explicit split network
+    graph, u, v = case
+    bits = GraphBits(graph)
+    all_v = (1 << graph.order) - 1
+    want = reference_flow(bits, 1 << u | 1 << v, all_v, bits.all_e, u, v, None)
+    assert menger_pair(graph, u, v) == want
 
 
 # two routes through one terminal: terminals have no vertex capacity
@@ -108,8 +148,8 @@ _BOWTIE = GraphBits(Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4))))
 
 
 def test_bowtie_values():
-    assert _flow_at_least(_BOWTIE, 0b00101, _BOWTIE.all_e, 0, 4, None) == 2
-    assert _flow_at_least(_BOWTIE, 0b10001, _BOWTIE.all_e, 0, 4, None) == 1
+    assert routed_flow(_BOWTIE, 0b00101, _BOWTIE.all_e, 0, 4, None) == 2
+    assert routed_flow(_BOWTIE, 0b10001, _BOWTIE.all_e, 0, 4, None) == 1
 
 
 
@@ -125,7 +165,7 @@ _TRAP = GraphBits(Graph(11, _TRAP_EDGES))
 
 
 def test_trap_needs_cancellation():
-    assert _flow_at_least(_TRAP, 0b10001, _TRAP.all_e, 0, 4, None) == 2
+    assert routed_flow(_TRAP, 0b10001, _TRAP.all_e, 0, 4, None) == 2
     assert reference_flow(_TRAP, 0b10001, (1 << 11) - 1, _TRAP.all_e, 0, 4, None) == 2
 
 
@@ -149,7 +189,7 @@ def terminal_calls(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(terminal_calls(), st.integers(min_value=0, max_value=3), st.none() | st.integers(1, 4))
-def test_seeded_flows_match_the_unseeded_ones(call, pick, target):
+def test_flows_from_one_search_match_the_reference(call, pick, target):
     bits, avail_e, ts = call
     src = ts.members[pick % len(ts.members)]
     up = _bfs_parents(bits, ts.smask, avail_e, src)
@@ -160,20 +200,24 @@ def test_seeded_flows_match_the_unseeded_ones(call, pick, target):
         # S is split: some terminal has no route from src at all
         assert 0 in flows
         return
+    if target is None:
+        target = len(bits.edges)
     for t, want in zip(sinks, flows):
         assert _flow_at_least(bits, ts.smask, avail_e, src, t, target, up) == want
-        assert _flow_at_least(bits, ts.smask, avail_e, src, t, target) == want
 
 
 def star_bound(bits, ts, avail_e, cap, need):
-    """`_bound` as a star of unseeded flows, each to exhaustion, from the
+    """`_bound` as a star of reference flows, each to exhaustion, from the
     terminal of least available degree: 0 when one is 0 (S is split),
     else cap lowered by each in turn until it falls below `need`."""
     if cap < need:
         return cap
     degrees = [(bits.einc[s] & avail_e).bit_count() for s in ts.members]
     src = ts.members[degrees.index(min(degrees))]
-    flows = [_flow_at_least(bits, ts.smask, avail_e, src, t, None) for t in ts.members if t != src]
+    all_v = (1 << bits.order) - 1
+    flows = [
+        reference_flow(bits, ts.smask, all_v, avail_e, src, t, None) for t in ts.members if t != src
+    ]
     if 0 in flows:
         return 0
     for flow in flows:
@@ -185,7 +229,7 @@ def star_bound(bits, ts, avail_e, cap, need):
 
 @settings(max_examples=300, deadline=None)
 @given(terminal_calls(), st.integers(min_value=0, max_value=5), st.integers(1, 5))
-def test_bound_matches_a_star_of_unseeded_flows(call, cap, need):
+def test_bound_matches_a_star_of_reference_flows(call, cap, need):
     bits, avail_e, ts = call
     assert _bound(bits, ts, avail_e, cap, need) == star_bound(bits, ts, avail_e, cap, need)
 
@@ -212,5 +256,5 @@ def test_a_seeded_route_saturates_its_non_terminals():
     # the first route is 0-1-2; the detour 0-3-1-4-2 needs vertex 1 again
     bits = GraphBits(Graph(5, ((0, 1), (0, 3), (1, 2), (1, 3), (1, 4), (2, 4))))
     up = _bfs_parents(bits, 0b101, bits.all_e, 0)
-    assert _flow_at_least(bits, 0b101, bits.all_e, 0, 2, None, up) == 1
-    assert _flow_at_least(bits, 0b111, bits.all_e, 0, 2, None, up) == 2
+    assert _flow_at_least(bits, 0b101, bits.all_e, 0, 2, len(bits.edges), up) == 1
+    assert _flow_at_least(bits, 0b111, bits.all_e, 0, 2, len(bits.edges), up) == 2

@@ -79,11 +79,14 @@ _ROLES = {"0": "a", "1": "b", "2": "c"}
         ({"0": "a", "1": "b", "0_2": "c"}, "not a decimal integer: '0_2'"),
         ({"0": "a", "+1": "b", "2": "c"}, "not a decimal integer: '+1'"),
         ({"0": "a", "1": "b", "2": "c", "00": "d"}, "vertex 0 has two roles"),
+        ({"0": "a", "2": "c"}, "roles must cover every vertex exactly once"),
+        ({"0": "a", "1": "b", "3": "c"}, "roles must cover every vertex exactly once"),
+        ({"0": "a", "1": "b", "2": "c", "3": "d"}, "roles must cover every vertex exactly once"),
     ],
 )
 def test_reduced_role_keys_are_ascii_decimals_once_each(roles, message):
     obj = {"graph": {"order": 3, "edges": [[0, 1], [1, 2]]}, "terminals": [0, 2], "threshold": 1}
-    assert reduced_from_obj({**obj, "roles": _ROLES}).roles == {0: "a", 1: "b", 2: "c"}
+    assert reduced_from_obj({**obj, "roles": _ROLES}).roles == ("a", "b", "c")
     with pytest.raises(GraphFormatError) as err:
         reduced_from_obj({**obj, "roles": roles})
     assert str(err.value) == f"invalid reduced instance: {message}"
@@ -125,20 +128,38 @@ def test_reduced_fields_are_rejected_exactly(field, value, message):
 def test_reduced_instance_takes_plain_terminals_and_reads_back():
     # a plain tuple of terminals becomes a TerminalSet, and whatever
     # constructs is written as JSON that the parser reads back
-    inst = ReducedInstance(path_graph(3), (2, 0), 1, {0: "a", 1: "b", 2: "c"})
+    inst = ReducedInstance(path_graph(3), (2, 0), 1, ("a", "b", "c"))
     assert inst.terminals == TerminalSet((0, 2))
     assert parse_reduced(serialize_reduced(inst)) == inst
 
 
 def test_reduced_instance_keeps_a_read_only_copy_of_its_roles():
-    roles = {0: "a", 1: "b", 2: "c"}
+    roles = ["a", "b", "c"]
     inst = ReducedInstance(path_graph(3), (0, 2), 1, roles)
     text = serialize_reduced(inst)
     roles[1] = "changed"
     with pytest.raises(TypeError):
         inst.roles[1] = 7
-    assert inst.roles == {0: "a", 1: "b", 2: "c"}
+    assert inst.roles == ("a", "b", "c")
     assert serialize_reduced(inst) == text
     assert hash(inst) == hash(parse_reduced(text))
     again = dataclasses.replace(inst, threshold=2)
     assert again.roles == inst.roles and again.threshold == 2
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"threshold": 0, "roles": {"0": "a"}}, "threshold must be an int >= 1, got 0"),
+        ({"terminals": [0, 5], "roles": {"0": 5, "7": "b"}}, "terminal 5 out of range for order 3"),
+        ({"roles": {"0": 5, "7": "b"}}, "roles must map vertex ids to strings"),
+        ({"roles": {"0": "a", "1": 5, "7": "c"}}, "roles must map vertex ids to strings"),
+    ],
+)
+def test_reduced_faults_are_named_in_field_order(fields, message):
+    # with several faults the threshold is named first, then the terminals,
+    # then a role that is not a string, and only then missing vertex ids
+    obj = {"graph": {"order": 3, "edges": [[0, 1], [1, 2]]}, "terminals": [0, 2], "threshold": 1}
+    with pytest.raises(GraphFormatError) as err:
+        reduced_from_obj({**obj, **fields})
+    assert str(err.value) == f"invalid reduced instance: {message}"

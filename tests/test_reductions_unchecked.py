@@ -1,6 +1,7 @@
 """The gadget reductions build their graph, terminal set and instance
 unchecked (`reductions._gadget`, through `graph._unchecked`) and keep each
-reduction on the source instance it came from, for the decoders.
+reduction on the source instance it came from, for the decoders.  Every
+reduced instance holds its roles as one string per vertex, in a tuple.
 
 Each built instance must equal what the validating constructors make of
 the same fields, in every way a caller sees, and a decoder must answer the
@@ -14,7 +15,6 @@ import copy
 import dataclasses
 import pickle
 import random
-from types import MappingProxyType
 
 import pytest
 
@@ -25,7 +25,11 @@ from treeconn import (
     Tree,
     TreeCertificate,
     assignment_to_trees,
+    complete_graph,
+    lift_terminals,
     matching_to_trees,
+    pad_tree_count,
+    path_graph,
     reduce_3dm,
     reduce_3sat,
     solve_3dm_brute,
@@ -52,7 +56,7 @@ def _assert_matches_validated(reduced: ReducedInstance) -> None:
     graph = reduced.graph
     validated_graph = Graph(graph.order, graph.edges, graph.labels)
     validated = ReducedInstance(
-        validated_graph, reduced.terminals.members, reduced.threshold, dict(reduced.roles)
+        validated_graph, reduced.terminals.members, reduced.threshold, list(reduced.roles)
     )
     for name in ("order", "edges", "labels"):
         assert getattr(graph, name) == getattr(validated_graph, name), name
@@ -61,8 +65,7 @@ def _assert_matches_validated(reduced: ReducedInstance) -> None:
     assert reduced.terminals == validated.terminals
     assert type(reduced.terminals.members) is tuple
     assert reduced.threshold == validated.threshold
-    assert isinstance(reduced.roles, MappingProxyType)
-    assert list(reduced.roles.items()) == list(validated.roles.items())
+    assert type(reduced.roles) is tuple and reduced.roles == validated.roles
     assert reduced == validated and hash(reduced) == hash(validated)
     text = serialize_reduced(reduced)
     assert text == serialize_reduced(validated)
@@ -164,7 +167,48 @@ def test_a_kept_reduction_stays_out_of_the_source_fields():
         reduce(source)
         assert source == fresh and hash(source) == hash(fresh) and repr(source) == repr(fresh)
         assert dataclasses.asdict(source) == dataclasses.asdict(fresh)
-        # and a reduced source still pickles and deep-copies
-        assert pickle.loads(pickle.dumps(source)) == fresh and copy.deepcopy(source) == fresh
+        # and a reduced source still pickles and deep-copies, its reduction
+        # with it, and is replaced by a source that reduces alike
+        for copied in (pickle.loads(pickle.dumps(source)), copy.deepcopy(source)):
+            assert copied == fresh and vars(copied)["_reduced"] == reduce(fresh)
+        assert reduce(dataclasses.replace(source)) == reduce(fresh)
         # each call builds its own reduction, equal to the last
         assert reduce(source) is not reduce(source) and reduce(source) == reduce(fresh)
+
+
+# ---------------------------------------------------------------------------
+# Roles: a tuple with one string per vertex, however the instance was made
+# ---------------------------------------------------------------------------
+
+_PHI = CnfFormula(3, ((1, -2, 3), (2, 3)))
+_TRIPLES = ThreeDMInstance(2, ((0, 0, 0), (1, 1, 1), (0, 1, 0)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: reduce_3sat(_PHI),
+        lambda: reduce_3dm(_TRIPLES),
+        lambda: lift_terminals(complete_graph(4), (0, 1, 2), 5, 2),
+        lambda: pad_tree_count(complete_graph(4), (0, 1), 4),
+        lambda: parse_reduced(serialize_reduced(reduce_3sat(_PHI))),
+        lambda: ReducedInstance(path_graph(3), (0, 2), 1, ["end", "middle", "end"]),
+    ],
+    ids=["reduce_3sat", "reduce_3dm", "lift_terminals", "pad_tree_count", "parse_reduced",
+         "constructor"],
+)
+def test_roles_are_a_tuple_of_strings_indexed_by_vertex(build):
+    inst = build()
+    roles = inst.roles
+    assert type(roles) is tuple and len(roles) == inst.graph.order
+    assert all(type(role) is str for role in roles)
+    # the dataclass's own copying gives an equal instance, roles and all
+    assert "__reduce__" not in vars(ReducedInstance)
+    for copied in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst), dataclasses.replace(inst)):
+        assert copied == inst and hash(copied) == hash(inst) and copied.roles == roles
+        assert type(copied.roles) is tuple
+    graph, terminals, threshold = inst.graph, inst.terminals, inst.threshold
+    for wrong in (roles[:-1], roles + ("extra",), (None,) + roles[1:], roles[:-1] + (7,)):
+        with pytest.raises(ValueError):
+            ReducedInstance(graph, terminals, threshold, wrong)
+
